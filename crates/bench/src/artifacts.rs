@@ -5,7 +5,7 @@
 //! the Table 1 parameter listing, the Fig. 5 fading trace, the Fig. 7 ABICM
 //! curves and the frame-loop performance benchmark.  They live here as plain
 //! functions so the campaign registry can drive them exactly like the sweep
-//! campaigns; the corresponding `src/bin/` binaries are thin wrappers.
+//! campaigns.
 
 use crate::{base_config, write_csv, write_output, BaselineWrite, BenchProfile};
 use charisma::des::{RngStreams, SimDuration, StreamId};

@@ -566,10 +566,10 @@ pub fn run_entry_durable(
     })
 }
 
-/// Durable counterpart of `registry::run_and_record_with`: runs the named
-/// entries through [`run_entry_durable`] and writes the provenance manifest
-/// under `opts.results_dir` — even when an entry fails or aborts partway, so
-/// the artifacts that *did* land are never described by a stale manifest.
+/// Runs the named entries through [`run_entry_durable`] and writes the
+/// provenance manifest under `opts.results_dir` — even when an entry fails
+/// or aborts partway, so the artifacts that *did* land are never described
+/// by a stale manifest.
 pub fn run_and_record_durable(
     run_names: &[String],
     profile: BenchProfile,

@@ -17,11 +17,10 @@
 //!
 //! Each run prints aligned text tables (the rows/series the paper reports),
 //! writes its artifacts under `results/`, and records provenance — spec
-//! JSON, profile, seeds, git revision — in `results/MANIFEST.json`.  The
-//! per-figure binaries (`fig11`, `capacity_table`, …) still exist as thin
-//! wrappers over the same registry entries.  Parameter values and exact
-//! commands are recorded in `EXPERIMENTS.md` at the repository root, whose
-//! generated section the `campaign` binary maintains via `--write-handbook`.
+//! JSON, profile, seeds, git revision — in `results/MANIFEST.json`.
+//! Parameter values and exact commands are recorded in `EXPERIMENTS.md` at
+//! the repository root, whose generated section the `campaign` binary
+//! maintains via `--write-handbook`.
 //!
 //! The run length per sweep point is set by the [`BenchProfile`]
 //! (`--profile` or `CHARISMA_BENCH_PROFILE=quick|standard|full`; an
@@ -43,10 +42,9 @@ pub mod trend;
 /// The committed frame-loop baseline (`results/BENCH_frame_loop.json`) is
 /// the reference the CI regression gate compares against, so regenerating it
 /// must be a deliberate act: only an **explicitly named** standard-profile
-/// run (`campaign run bench_frame_loop --profile standard`, or the
-/// `bench_frame_loop` wrapper binary) writes it.  Bulk runs
-/// (`campaign run all`) and non-standard profiles are routed to untracked
-/// sidecar files.
+/// run (`campaign run bench_frame_loop --profile standard`) writes it.
+/// Bulk runs (`campaign run all`) and non-standard profiles are routed to
+/// untracked sidecar files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BaselineWrite {
     /// The entry was named explicitly: a standard-profile run refreshes the

@@ -4,11 +4,11 @@
 //! and tables, plus scenarios the paper never plotted — either as a
 //! declarative [`Campaign`] of [`ScenarioSpec`]s executed on the sweep
 //! workers, or as a bespoke generator from [`crate::artifacts`] for the few
-//! artifacts that are not sweeps.  The `campaign` binary (and the thin
-//! per-figure wrapper binaries) drive everything through
-//! [`run_entry`] / [`run_and_record`], which also maintain the provenance
-//! manifest (`results/MANIFEST.json`) and the generated section of the
-//! reproduction handbook (`EXPERIMENTS.md`).
+//! artifacts that are not sweeps.  The `campaign` binary drives everything
+//! through [`run_entry`] (via the durable
+//! [`crate::checkpoint::run_and_record_durable`]), and this module also
+//! builds the provenance manifest (`results/MANIFEST.json`) and the
+//! generated section of the reproduction handbook (`EXPERIMENTS.md`).
 
 use crate::{
     artifacts, fig11_voice_counts, fig12_data_counts, write_output, BaselineWrite, BenchProfile,
@@ -1334,54 +1334,6 @@ pub fn manifest_json(reports: &[EntryReport], profile: BenchProfile, threads: us
             ),
         ),
     ])
-}
-
-/// Runs a list of explicitly named entries and records the provenance
-/// manifest (`results/MANIFEST.json`): spec JSON, profile, seeds, outputs
-/// and git revision of the run.  Explicit naming means committed baselines
-/// may be refreshed ([`BaselineWrite::Allowed`]); bulk `run all` invocations
-/// go through [`run_and_record_with`] with [`BaselineWrite::Sidecar`].
-///
-/// The manifest is (re)written even when an entry fails partway through, so
-/// the artifacts that *did* land in `results/` are never described by a
-/// stale manifest from an earlier invocation.
-pub fn run_and_record(
-    run_names: &[String],
-    profile: BenchProfile,
-    threads: usize,
-) -> Result<Vec<EntryReport>, String> {
-    run_and_record_with(run_names, profile, threads, BaselineWrite::Allowed)
-}
-
-/// [`run_and_record`] with an explicit baseline-write context.
-pub fn run_and_record_with(
-    run_names: &[String],
-    profile: BenchProfile,
-    threads: usize,
-    baseline: BaselineWrite,
-) -> Result<Vec<EntryReport>, String> {
-    let mut reports = Vec::new();
-    let mut failure: Option<String> = None;
-    for name in run_names {
-        match run_entry(name, profile, threads, baseline) {
-            Ok(report) => reports.push(report),
-            Err(e) => {
-                failure = Some(format!("{name}: {e}"));
-                break;
-            }
-        }
-        println!();
-    }
-    let manifest = manifest_json(&reports, profile, threads);
-    write_output("MANIFEST.json", &format!("{manifest}\n")).map_err(|e| e.to_string())?;
-    match failure {
-        Some(e) => Err(format!(
-            "{e} (results/MANIFEST.json covers the {} completed entr{})",
-            reports.len(),
-            if reports.len() == 1 { "y" } else { "ies" }
-        )),
-        None => Ok(reports),
-    }
 }
 
 // --- the reproduction handbook -------------------------------------------

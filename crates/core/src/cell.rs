@@ -116,11 +116,13 @@ impl Cell {
     /// Executes one uplink frame of this cell: assembles the [`FrameWorld`]
     /// over the (global) terminal population restricted to this cell's
     /// members and runs the MAC.  `traffic` and `terminals` span the whole
-    /// system, indexed by terminal id; `terminals` is anything convertible
-    /// into a [`TerminalTable`] — a `&mut `[`crate::columns::TerminalColumns`]
-    /// on the single-threaded paths, a view-backed table over the shared
-    /// column store when cells of a sharded [`crate::system::SystemWorld`]
-    /// step in parallel.
+    /// system, indexed by terminal id.  `terminals` is anything convertible
+    /// into a [`TerminalTable`], the handle that carries the column view
+    /// into the world: a `&mut `[`crate::columns::TerminalColumns`] on the
+    /// single-threaded paths, a table over the shared column store under the
+    /// membership partition when cells of a sharded
+    /// [`crate::system::SystemWorld`] step in parallel.  The MAC then reads
+    /// and serves its members only through the [`FrameWorld`] accessors.
     pub fn step<'a>(
         &mut self,
         frame: u64,

@@ -16,12 +16,12 @@
 //! |---------------------|------------------------------|----------------------------|
 //! | `class`             | `TerminalClass`              | construction only          |
 //! | `active_from_frame` | `u64`                        | construction only          |
-//! | `in_talkspurt`      | `bool`                       | `begin_frame`              |
-//! | `traffic_boundary`  | `u64`                        | `begin_frame`              |
-//! | `voice_source`      | `Option<VoiceSource>`        | `begin_frame`              |
-//! | `voice_buffer`      | `VoiceBuffer`                | `begin_frame`, MAC serving |
-//! | `data_source`       | `Option<DataSource>`         | `begin_frame`              |
-//! | `data_buffer`       | `DataBuffer`                 | `begin_frame`, MAC serving |
+//! | `in_talkspurt`      | `bool`                       | traffic step               |
+//! | `traffic_boundary`  | `u64`                        | traffic step               |
+//! | `voice_source`      | `Option<VoiceSource>`        | traffic step               |
+//! | `voice_buffer`      | `VoiceBuffer`                | traffic step, MAC serving  |
+//! | `data_source`       | `Option<DataSource>`         | traffic step               |
+//! | `data_buffer`       | `DataBuffer`                 | traffic step, MAC serving  |
 //! | `mean_snr_db`       | `f64`                        | mobility / path-loss       |
 //! | `short`             | `ShortTermFading`            | channel advance            |
 //! | `long`              | `LongTermShadowing`          | channel advance            |
@@ -41,14 +41,20 @@
 //! suite in `tests/determinism.rs` pins pre-refactor report bytes against
 //! this implementation.
 //!
-//! # Shared access
+//! # Access layers
 //!
-//! `ColumnsView` is the crate-internal raw handle: a bundle of column base
+//! Each per-terminal operation has exactly one implementation, on
+//! `ColumnsView`: the crate-internal raw handle, a bundle of column base
 //! pointers that the sharded system layer copies into its per-cell workers.
 //! Exclusivity is by *cell membership partition* — every terminal index
 //! belongs to exactly one cell per frame, and a worker only touches the
-//! indices of the cells it owns — which is the same soundness contract the
-//! previous `Vec<Terminal>`-based grid used, now concentrated in one type.
+//! indices of the cells it owns — so the whole aliasing argument lives in
+//! one type.  MAC protocols never see the view: they address terminals by id
+//! through [`crate::world::FrameWorld`], whose accessors call the view
+//! directly.  The traffic step itself (`step_traffic`) is one function
+//! behind both frame entries, the whole-population
+//! [`TerminalColumns::begin_frame_all`] and the roam phase's per-terminal
+//! `ColumnsView::begin_frame`.
 
 use charisma_des::{FrameClock, SimTime, Xoshiro256StarStar};
 use charisma_radio::{ChannelMode, LongTermShadowing, ShortTermFading};
@@ -83,7 +89,7 @@ pub struct TerminalColumns {
     class: Vec<TerminalClass>,
     active_from_frame: Vec<u64>,
     in_talkspurt: Vec<bool>,
-    /// First frame index at which `begin_frame` must do any work for the
+    /// First frame index at which the traffic step must do any work for the
     /// terminal: the earlier of the next source event (clamped to the
     /// activation frame while dormant) and the first frame boundary at or
     /// past the earliest buffered voice deadline.  Frames strictly before it
@@ -141,46 +147,61 @@ impl TerminalColumns {
     /// Decomposes `terminal` into the columns.  Terminals must be pushed in
     /// ascending index order so slot `i` is `TerminalId(i)`.
     pub fn push(&mut self, terminal: Terminal) {
-        let parts = terminal.into_parts();
+        let Terminal {
+            id,
+            class,
+            clock,
+            voice_source,
+            voice_buffer,
+            data_source,
+            data_buffer,
+            channel,
+            channel_mode,
+            contention_rng,
+            phy_rng,
+            in_talkspurt,
+            active_from_frame,
+        } = terminal;
         debug_assert_eq!(
-            parts.id.index() as usize,
+            id.index() as usize,
             self.class.len(),
             "terminals must be pushed in index order"
         );
-        debug_assert_eq!(parts.clock, self.clock, "terminal clock mismatch");
+        debug_assert_eq!(clock, self.clock, "terminal clock mismatch");
         debug_assert_eq!(
-            parts.channel_mode, self.channel_mode,
+            channel_mode, self.channel_mode,
             "terminal channel mode mismatch"
         );
-        self.class.push(parts.class);
-        self.active_from_frame.push(parts.active_from_frame);
-        self.in_talkspurt.push(parts.in_talkspurt);
+        let channel = channel.into_parts();
+        self.class.push(class);
+        self.active_from_frame.push(active_from_frame);
+        self.in_talkspurt.push(in_talkspurt);
         self.traffic_boundary.push(Self::boundary_for(
-            &parts.voice_source,
-            &parts.data_source,
-            &parts.voice_buffer,
-            parts.active_from_frame,
+            &voice_source,
+            &data_source,
+            &voice_buffer,
+            active_from_frame,
             0,
             self.clock.frame_duration().as_micros(),
         ));
-        self.voice_source.push(parts.voice_source);
-        self.voice_buffer.push(parts.voice_buffer);
-        self.data_source.push(parts.data_source);
-        self.data_buffer.push(parts.data_buffer);
-        self.mean_snr_db.push(parts.channel.config.mean_snr_db);
-        self.short.push(parts.channel.short);
-        self.long.push(parts.channel.long);
-        self.chan_rng.push(parts.channel.rng);
-        self.chan_now.push(parts.channel.now);
+        self.voice_source.push(voice_source);
+        self.voice_buffer.push(voice_buffer);
+        self.data_source.push(data_source);
+        self.data_buffer.push(data_buffer);
+        self.mean_snr_db.push(channel.config.mean_snr_db);
+        self.short.push(channel.short);
+        self.long.push(channel.long);
+        self.chan_rng.push(channel.rng);
+        self.chan_now.push(channel.now);
         self.snr_cache.push(None);
-        self.contention_rng.push(parts.contention_rng);
-        self.phy_rng.push(parts.phy_rng);
+        self.contention_rng.push(contention_rng);
+        self.phy_rng.push(phy_rng);
     }
 
-    /// First frame at which `begin_frame` must do any work for a terminal in
-    /// this state: the earlier of the two sources' next events — clamped to
-    /// the activation frame while the next frame to visit (`frame_index`) is
-    /// at or before it, so the activation boundary itself is never skipped
+    /// First frame at which the traffic step must do any work for a terminal
+    /// in this state: the earlier of the two sources' next events — clamped
+    /// to the activation frame while the next frame to visit (`frame_index`)
+    /// is at or before it, so the activation boundary itself is never skipped
     /// and `in_talkspurt` / buffer state update there exactly as in the
     /// every-frame path — and the first frame boundary at or past the
     /// earliest buffered voice deadline (the first frame whose expiry check
@@ -261,21 +282,11 @@ impl TerminalColumns {
         }
     }
 
-    // ----- safe single-owner wrappers over the view operations -----
-    //
-    // Holding `&mut self` is exclusive access to every column, so the raw
-    // view operations are trivially sound here.
-
-    /// Advances terminal `i`'s traffic across the boundary that starts
-    /// `frame_index` and reports what happened (see [`FrameTraffic`]).
-    pub fn begin_frame(&mut self, i: usize, frame_index: u64) -> FrameTraffic {
-        unsafe { self.view().begin_frame(i, frame_index) }
-    }
-
-    /// Runs [`TerminalColumns::begin_frame`] for every terminal in ascending
-    /// index order — the documented draw order — writing each terminal's
-    /// report into `traffic` and returning the population-wide totals (so
-    /// single-cell scenario loops don't need a second accumulation pass).
+    /// Advances every terminal across the boundary that starts
+    /// `frame_index`, in ascending index order — the documented draw order —
+    /// writing each terminal's report into `traffic` and returning the
+    /// population-wide totals (so single-cell scenario loops don't need a
+    /// second accumulation pass).
     pub fn begin_frame_all(
         &mut self,
         frame_index: u64,
@@ -290,28 +301,19 @@ impl TerminalColumns {
             // changes no draw.
             let view = self.view();
             for i in 0..view.len() {
-                unsafe {
-                    view.advance_channel_eager(i, now);
-                    *view.snr_cache.add(i) = None;
-                }
+                // SAFETY: `&mut self` is exclusive access to every terminal.
+                unsafe { view.advance_channel_eager(i, now) };
             }
         }
-        // Safe zipped-slice sweep (exclusive `&mut self` — no raw view
-        // needed); mirrors `ColumnsView::begin_frame_at` terminal for
-        // terminal, with bounds checks elided by the zips.  Frames strictly
-        // before a terminal's `traffic_boundary` are total no-ops: the source
-        // calls would be no-ops (no state change, no draw), the expiry check
-        // could drop nothing (the boundary covers the earliest buffered
-        // deadline), dormancy has no edge, and `in_talkspurt` cannot change —
-        // so the skip is behaviour-for-behaviour identical to the full path
-        // without touching the terminal's buffers at all.
+        // The traffic half runs over zipped column slices (exclusive
+        // `&mut self` — no raw view needed, bounds checks elided by the zips).
         let frame_us = self.clock.frame_duration().as_micros();
         let mut totals = TrafficTotals::default();
         // One sequential clear up front turns the common no-event slot writes
         // into a single memset; the sweep then touches a slot only when the
-        // terminal actually had an event (identical slice contents).
+        // terminal was not skipped (identical slice contents).
         traffic.fill(FrameTraffic::default());
-        for (((((slot, vbuf), boundary), srcs), dbuf), (talk, active_from)) in traffic
+        for (((((slot, vbuf), boundary), (vsrc, dsrc)), dbuf), (talk, &active_from)) in traffic
             .iter_mut()
             .zip(self.voice_buffer.iter_mut())
             .zip(self.traffic_boundary.iter_mut())
@@ -327,46 +329,20 @@ impl TerminalColumns {
                     .zip(self.active_from_frame.iter()),
             )
         {
-            if frame_index < *boundary {
+            let Some(out) = step_traffic(
+                frame_index,
+                now,
+                frame_us,
+                active_from,
+                boundary,
+                talk,
+                vsrc,
+                vbuf,
+                dsrc,
+                dbuf,
+            ) else {
                 continue;
-            }
-            let (vsrc, dsrc) = srcs;
-            // Deadline enforcement happens before new packets arrive so a
-            // packet generated at this boundary can never be dropped at the
-            // same boundary.
-            let mut out = FrameTraffic {
-                voice_packets_dropped: vbuf.drop_expired(now) as u32,
-                ..FrameTraffic::default()
             };
-            if let Some(src) = vsrc.as_mut() {
-                let activity = src.on_frame_start(frame_index);
-                *talk = src.is_talking();
-                out.talkspurt_started = activity.talkspurt_started;
-                out.talkspurt_ended = activity.talkspurt_ended;
-                if activity.packet_generated {
-                    let deadline = src.deadline_for(frame_index);
-                    vbuf.push(VoicePacket {
-                        generated_at: now,
-                        deadline,
-                    });
-                    out.voice_packet_generated = true;
-                }
-            }
-            if let Some(src) = dsrc.as_mut() {
-                let arrived = src.on_frame_start(frame_index);
-                if arrived > 0 {
-                    dbuf.push_burst(now, arrived);
-                    out.data_packets_arrived = arrived;
-                }
-            }
-            if frame_index < *active_from {
-                vbuf.clear();
-                dbuf.clear();
-                *talk = false;
-                out = FrameTraffic::default();
-            }
-            *boundary =
-                Self::boundary_for(vsrc, dsrc, vbuf, *active_from, frame_index + 1, frame_us);
             totals.voice_generated += out.voice_packet_generated as u64;
             totals.voice_dropped += out.voice_packets_dropped as u64;
             totals.data_arrived += out.data_packets_arrived as u64;
@@ -374,87 +350,87 @@ impl TerminalColumns {
         }
         totals
     }
+}
 
-    /// Terminal `i`'s true instantaneous SNR at time `t` (advances the
-    /// fading processes as needed; memoised per instant in lazy mode).
-    pub fn true_snr_db(&mut self, i: usize, t: SimTime) -> f64 {
-        unsafe { self.view().true_snr_db(i, t) }
+/// Advances one terminal's traffic across the boundary that starts
+/// `frame_index` (at instant `now`): deadline expiry, source stepping,
+/// dormancy and the `traffic_boundary` refresh.  The one implementation of
+/// the traffic step, shared by [`TerminalColumns::begin_frame_all`] and the
+/// roam phase's per-terminal [`ColumnsView::begin_frame`].
+///
+/// Returns `None` for a frame strictly before the terminal's traffic
+/// boundary.  Such frames are total no-ops: the source calls would be no-ops
+/// (no state change, no draw), the expiry check could drop nothing (the
+/// boundary covers the earliest buffered deadline), dormancy has no edge
+/// there, and `in_talkspurt` cannot change — so skipping them is
+/// behaviour-for-behaviour identical to the full step, without touching the
+/// terminal's buffers at all.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn step_traffic(
+    frame_index: u64,
+    now: SimTime,
+    frame_us: u64,
+    active_from: u64,
+    boundary: &mut u64,
+    in_talkspurt: &mut bool,
+    voice_source: &mut Option<VoiceSource>,
+    voice_buffer: &mut VoiceBuffer,
+    data_source: &mut Option<DataSource>,
+    data_buffer: &mut DataBuffer,
+) -> Option<FrameTraffic> {
+    if frame_index < *boundary {
+        return None;
     }
-
-    /// The terminal's service class.
-    pub fn class(&self, i: usize) -> TerminalClass {
-        self.class[i]
+    let mut out = FrameTraffic {
+        // Deadline enforcement happens before new packets arrive so a packet
+        // generated at this boundary can never be dropped at the same boundary.
+        voice_packets_dropped: voice_buffer.drop_expired(now) as u32,
+        ..FrameTraffic::default()
+    };
+    if let Some(src) = voice_source.as_mut() {
+        let activity = src.on_frame_start(frame_index);
+        *in_talkspurt = src.is_talking();
+        out.talkspurt_started = activity.talkspurt_started;
+        out.talkspurt_ended = activity.talkspurt_ended;
+        if activity.packet_generated {
+            let deadline = src.deadline_for(frame_index);
+            voice_buffer.push(VoicePacket {
+                generated_at: now,
+                deadline,
+            });
+            out.voice_packet_generated = true;
+        }
     }
-
-    /// Whether the terminal is currently in a talkspurt.
-    pub fn in_talkspurt(&self, i: usize) -> bool {
-        self.in_talkspurt[i]
+    if let Some(src) = data_source.as_mut() {
+        let arrived = src.on_frame_start(frame_index);
+        if arrived > 0 {
+            data_buffer.push_burst(now, arrived);
+            out.data_packets_arrived = arrived;
+        }
     }
-
-    /// Whether the terminal participates in the given frame.
-    pub fn is_active_at(&self, i: usize, frame_index: u64) -> bool {
-        frame_index >= self.active_from_frame[i]
+    // A dormant terminal (activated mid-run by a load ramp) advances its
+    // sources exactly like an active one so the per-terminal RNG streams
+    // stay aligned, but its traffic is discarded: nothing is buffered,
+    // nothing is reported, and it never looks like a contender.  From the
+    // activation frame onward it behaves draw-for-draw like an always-active
+    // twin — a terminal woken mid-talkspurt buffers that talkspurt's
+    // remaining packets (and contends for them) immediately.
+    if frame_index < active_from {
+        voice_buffer.clear();
+        data_buffer.clear();
+        *in_talkspurt = false;
+        out = FrameTraffic::default();
     }
-
-    /// Number of voice packets waiting in the transmit buffer.
-    pub fn voice_backlog(&self, i: usize) -> usize {
-        self.voice_buffer[i].len()
-    }
-
-    /// Number of data packets waiting in the transmit buffer.
-    pub fn data_backlog(&self, i: usize) -> u64 {
-        self.data_buffer[i].len()
-    }
-
-    /// Whether the terminal has anything to send.
-    pub fn has_backlog(&self, i: usize) -> bool {
-        !self.voice_buffer[i].is_empty() || !self.data_buffer[i].is_empty()
-    }
-
-    /// Earliest deadline among buffered voice packets.
-    pub fn earliest_voice_deadline(&self, i: usize) -> Option<SimTime> {
-        self.voice_buffer[i].earliest_deadline()
-    }
-
-    /// Arrival time of the oldest buffered data packet.
-    pub fn oldest_data_arrival(&self, i: usize) -> Option<SimTime> {
-        self.data_buffer[i].head_arrival()
-    }
-
-    /// Mutable access to the voice buffer (transmission engine, tests).
-    pub fn voice_buffer_mut(&mut self, i: usize) -> &mut VoiceBuffer {
-        &mut self.voice_buffer[i]
-    }
-
-    /// Mutable access to the data buffer (transmission engine, tests).
-    pub fn data_buffer_mut(&mut self, i: usize) -> &mut DataBuffer {
-        &mut self.data_buffer[i]
-    }
-
-    /// The contention random stream (permission probability, slot choice).
-    pub fn contention_rng(&mut self, i: usize) -> &mut Xoshiro256StarStar {
-        &mut self.contention_rng[i]
-    }
-
-    /// The packet-error random stream.
-    pub fn phy_rng(&mut self, i: usize) -> &mut Xoshiro256StarStar {
-        &mut self.phy_rng[i]
-    }
-
-    /// Re-points terminal `i`'s mean SNR (dB); the multi-cell system layer
-    /// updates it every frame from path loss + site shadowing.
-    pub fn set_mean_snr_db(&mut self, i: usize, mean_snr_db: f64) {
-        assert!(mean_snr_db.is_finite(), "mean SNR must be finite");
-        self.mean_snr_db[i] = mean_snr_db;
-    }
-
-    /// Drops every buffered voice packet (hard-handoff link interruption or
-    /// refused admission) and returns how many were lost.
-    pub fn drop_buffered_voice(&mut self, i: usize) -> u32 {
-        let n = self.voice_buffer[i].len() as u32;
-        self.voice_buffer[i].clear();
-        n
-    }
+    *boundary = TerminalColumns::boundary_for(
+        voice_source,
+        data_source,
+        voice_buffer,
+        active_from,
+        frame_index + 1,
+        frame_us,
+    );
+    Some(out)
 }
 
 /// Raw handle over the columns of a [`TerminalColumns`] store: one base
@@ -540,111 +516,49 @@ impl ColumnsView {
         );
     }
 
-    /// Advances terminal `i`'s traffic across the boundary that starts
-    /// `frame_index`, updating the buffers, and reports what happened.
-    /// Deadline-expired voice packets are dropped here (and reported),
-    /// exactly once per frame.
+    /// Advances terminal `i` across the boundary that starts `frame_index` —
+    /// the eager-mode channel step, then [`step_traffic`] — and reports what
+    /// happened (see [`FrameTraffic`]).  The roam phase's per-terminal entry;
+    /// [`TerminalColumns::begin_frame_all`] is the whole-population one.
     ///
     /// # Safety
     /// Caller must have exclusive access to terminal `i` (see the type-level
     /// soundness contract).
     pub(crate) unsafe fn begin_frame(&self, i: usize, frame_index: u64) -> FrameTraffic {
-        let now = self.clock.frame_start(frame_index);
-        self.begin_frame_at(i, frame_index, now)
-    }
-
-    /// [`Self::begin_frame`] with the frame-start instant precomputed, so the
-    /// all-terminals sweep evaluates the clock once per frame rather than once
-    /// per terminal.
-    ///
-    /// # Safety
-    /// Exclusive access to terminal `i`; `now` must equal
-    /// `self.clock.frame_start(frame_index)`.
-    #[inline]
-    unsafe fn begin_frame_at(&self, i: usize, frame_index: u64, now: SimTime) -> FrameTraffic {
         self.check(i);
+        let now = self.clock.frame_start(frame_index);
         // Lazy mode leaves the channel untouched here: it is advanced (with a
         // coalesced dt) the first time this frame's SNR is sampled, so idle
         // terminals skip channel work entirely.
         if self.channel_mode == ChannelMode::Eager {
             self.advance_channel_eager(i, now);
-            *self.snr_cache.add(i) = None;
         }
-
-        // Frames strictly before the traffic boundary are total no-ops: the
-        // source calls would be no-ops (no state change, no draw), the expiry
-        // check could drop nothing (the boundary covers the earliest buffered
-        // deadline), dormancy has no edge there, and `in_talkspurt` cannot
-        // change — skipping them is behaviour-for-behaviour identical.
-        if frame_index < *self.traffic_boundary.add(i) {
-            return FrameTraffic::default();
-        }
-
-        let voice_buffer = &mut *self.voice_buffer.add(i);
-        let mut out = FrameTraffic {
-            // Deadline enforcement happens before new packets arrive so a packet
-            // generated at this boundary can never be dropped at the same boundary.
-            voice_packets_dropped: voice_buffer.drop_expired(now) as u32,
-            ..FrameTraffic::default()
-        };
-
-        if let Some(src) = (*self.voice_source.add(i)).as_mut() {
-            let activity = src.on_frame_start(frame_index);
-            *self.in_talkspurt.add(i) = src.is_talking();
-            out.talkspurt_started = activity.talkspurt_started;
-            out.talkspurt_ended = activity.talkspurt_ended;
-            if activity.packet_generated {
-                let deadline = src.deadline_for(frame_index);
-                voice_buffer.push(VoicePacket {
-                    generated_at: now,
-                    deadline,
-                });
-                out.voice_packet_generated = true;
-            }
-        }
-
-        if let Some(src) = (*self.data_source.add(i)).as_mut() {
-            let arrived = src.on_frame_start(frame_index);
-            if arrived > 0 {
-                (*self.data_buffer.add(i)).push_burst(now, arrived);
-                out.data_packets_arrived = arrived;
-            }
-        }
-
-        // A dormant terminal (activated mid-run by a load ramp) advances its
-        // sources exactly like an active one so the per-terminal RNG streams
-        // stay aligned, but its traffic is discarded: nothing is buffered,
-        // nothing is reported, and it never looks like a contender.  From the
-        // activation frame onward it behaves draw-for-draw like an
-        // always-active twin — a terminal woken mid-talkspurt buffers that
-        // talkspurt's remaining packets (and contends for them) immediately.
-        let active_from = *self.active_from_frame.add(i);
-        if frame_index < active_from {
-            voice_buffer.clear();
-            (*self.data_buffer.add(i)).clear();
-            *self.in_talkspurt.add(i) = false;
-            out = FrameTraffic::default();
-        }
-
-        *self.traffic_boundary.add(i) = TerminalColumns::boundary_for(
-            &*self.voice_source.add(i),
-            &*self.data_source.add(i),
-            voice_buffer,
-            active_from,
-            frame_index + 1,
+        step_traffic(
+            frame_index,
+            now,
             self.clock.frame_duration().as_micros(),
-        );
-
-        out
+            *self.active_from_frame.add(i),
+            &mut *self.traffic_boundary.add(i),
+            &mut *self.in_talkspurt.add(i),
+            &mut *self.voice_source.add(i),
+            &mut *self.voice_buffer.add(i),
+            &mut *self.data_source.add(i),
+            &mut *self.data_buffer.add(i),
+        )
+        .unwrap_or_default()
     }
 
     /// Advances terminal `i`'s channel to `t` in one coalesced AR(1) step per
-    /// process (short first, then long — the documented draw order), reusing
-    /// memoised step coefficients.  Panics if `t` is in the past.
+    /// process (short first, then long — the documented draw order).  With
+    /// `memoised` the step coefficients are reused across calls; without,
+    /// they are recomputed every call (the same draws — eager mode's
+    /// pre-optimisation baseline, which the benchmark measures against).
+    /// Panics if `t` is in the past.
     ///
     /// # Safety
     /// Exclusive access to terminal `i`.
-    unsafe fn advance_channel(&self, i: usize, t: SimTime) {
+    #[inline]
+    unsafe fn advance_channel(&self, i: usize, t: SimTime, memoised: bool) {
         let now = &mut *self.chan_now.add(i);
         assert!(
             t >= *now,
@@ -656,31 +570,26 @@ impl ColumnsView {
             return;
         }
         let rng = &mut *self.chan_rng.add(i);
-        (*self.short.add(i)).step(dt, rng);
-        (*self.long.add(i)).step(dt, rng);
+        let (short, long) = (&mut *self.short.add(i), &mut *self.long.add(i));
+        if memoised {
+            short.step(dt, rng);
+            long.step(dt, rng);
+        } else {
+            short.step_uncached(dt, rng);
+            long.step_uncached(dt, rng);
+        }
         *now = t;
     }
 
-    /// Eager-mode channel advance: same draws, coefficients recomputed every
-    /// call (the pre-optimisation baseline the benchmark measures against).
+    /// Eager mode's per-frame channel step: advances terminal `i`'s channel
+    /// to the frame start `t` without memoised coefficients and clears the
+    /// SNR memo, so every sample this frame re-reads the fresh state.
     ///
     /// # Safety
     /// Exclusive access to terminal `i`.
     unsafe fn advance_channel_eager(&self, i: usize, t: SimTime) {
-        let now = &mut *self.chan_now.add(i);
-        assert!(
-            t >= *now,
-            "channel cannot be advanced backwards (now {}, asked {t})",
-            *now
-        );
-        let dt = t.duration_since(*now);
-        if dt.is_zero() {
-            return;
-        }
-        let rng = &mut *self.chan_rng.add(i);
-        (*self.short.add(i)).step_uncached(dt, rng);
-        (*self.long.add(i)).step_uncached(dt, rng);
-        *now = t;
+        *self.snr_cache.add(i) = None;
+        self.advance_channel(i, t, false);
     }
 
     /// The SNR implied by terminal `i`'s current fading state: the mean SNR
@@ -717,13 +626,13 @@ impl ColumnsView {
                         return snr;
                     }
                 }
-                self.advance_channel(i, t);
+                self.advance_channel(i, t, true);
                 let snr = self.snr_db(i);
                 *cache = Some((t, snr));
                 snr
             }
             ChannelMode::Eager => {
-                self.advance_channel(i, t);
+                self.advance_channel(i, t, true);
                 self.snr_db(i)
             }
         }
@@ -860,7 +769,7 @@ impl ColumnsView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charisma_des::{RngStreams, SimDuration};
+    use charisma_des::{RngStreams, Sampler, SimDuration};
     use charisma_radio::{ChannelConfig, SpeedProfile};
     use charisma_traffic::{DataSourceConfig, TerminalId, VoiceSourceConfig};
 
@@ -889,13 +798,48 @@ mod tests {
         make_mode(class, seed, ChannelMode::Lazy)
     }
 
+    /// Terminal `i`'s per-terminal frame entry (the roam phase's path).
+    fn begin(cols: &mut TerminalColumns, i: usize, frame_index: u64) -> FrameTraffic {
+        // SAFETY: `&mut TerminalColumns` is exclusive access to every terminal.
+        unsafe { cols.view().begin_frame(i, frame_index) }
+    }
+
+    /// Terminal `i`'s true instantaneous SNR at `t`.
+    fn snr(cols: &mut TerminalColumns, i: usize, t: SimTime) -> f64 {
+        // SAFETY: as in `begin`.
+        unsafe { cols.view().true_snr_db(i, t) }
+    }
+
+    fn has_backlog(cols: &TerminalColumns, i: usize) -> bool {
+        !cols.voice_buffer[i].is_empty() || !cols.data_buffer[i].is_empty()
+    }
+
+    #[test]
+    fn push_preserves_identity_and_streams() {
+        let mut t = terminal(0, TerminalClass::Voice, 3, ChannelMode::Lazy);
+        t.set_active_from_frame(17);
+        t.set_mean_snr_db(21.5);
+        let talk = t.in_talkspurt();
+        let mut cols = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
+        cols.push(t);
+        // Slot 0 is `TerminalId(0)` (push order is index order).
+        assert_eq!(cols.len(), 1);
+        assert_eq!(cols.class[0], TerminalClass::Voice);
+        assert_eq!(cols.active_from_frame[0], 17);
+        assert_eq!(cols.in_talkspurt[0], talk);
+        assert_eq!(cols.mean_snr_db[0], 21.5);
+        assert!(cols.voice_source[0].is_some());
+        assert!(cols.data_source[0].is_none());
+        assert_eq!(cols.chan_now[0], SimTime::ZERO);
+    }
+
     #[test]
     fn voice_terminal_generates_and_drops_packets() {
         let mut t = make(TerminalClass::Voice, 1);
         let mut generated = 0u64;
         let mut dropped = 0u64;
         for k in 0..80_000u64 {
-            let tr = t.begin_frame(0, k);
+            let tr = begin(&mut t, 0, k);
             generated += tr.voice_packet_generated as u64;
             dropped += tr.voice_packets_dropped as u64;
             assert_eq!(
@@ -913,7 +857,7 @@ mod tests {
             dropped >= generated - 2,
             "generated {generated}, dropped {dropped}"
         );
-        assert!(t.voice_backlog(0) <= 2);
+        assert!(t.voice_buffer[0].len() <= 2);
     }
 
     #[test]
@@ -921,25 +865,25 @@ mod tests {
         let mut t = make(TerminalClass::Data, 2);
         let mut arrived = 0u64;
         for k in 0..40_000u64 {
-            let tr = t.begin_frame(0, k);
+            let tr = begin(&mut t, 0, k);
             arrived += tr.data_packets_arrived as u64;
             assert!(!tr.voice_packet_generated);
         }
         assert!(arrived > 1_000, "expected data arrivals, got {arrived}");
         assert_eq!(
-            t.data_backlog(0),
+            t.data_buffer[0].len(),
             arrived,
             "nothing was served, backlog must equal arrivals"
         );
-        assert!(t.has_backlog(0));
+        assert!(has_backlog(&t, 0));
     }
 
     #[test]
     fn channel_is_queryable_at_frame_times() {
         let mut t = make(TerminalClass::Voice, 3);
-        t.begin_frame(0, 0);
-        let s0 = t.true_snr_db(0, SimTime::ZERO);
-        let s1 = t.true_snr_db(0, SimTime::ZERO + SimDuration::from_micros(2_500));
+        begin(&mut t, 0, 0);
+        let s0 = snr(&mut t, 0, SimTime::ZERO);
+        let s1 = snr(&mut t, 0, SimTime::ZERO + SimDuration::from_micros(2_500));
         assert!(s0.is_finite() && s1.is_finite());
     }
 
@@ -947,12 +891,12 @@ mod tests {
     fn talkspurt_flag_tracks_source() {
         let mut t = make(TerminalClass::Voice, 4);
         let mut toggles = 0;
-        let mut last = t.in_talkspurt(0);
+        let mut last = t.in_talkspurt[0];
         for k in 0..200_000u64 {
-            t.begin_frame(0, k);
-            if t.in_talkspurt(0) != last {
+            begin(&mut t, 0, k);
+            if t.in_talkspurt[0] != last {
                 toggles += 1;
-                last = t.in_talkspurt(0);
+                last = t.in_talkspurt[0];
             }
         }
         assert!(
@@ -966,28 +910,28 @@ mod tests {
         let mut a = make(TerminalClass::Voice, 9);
         let mut b = make(TerminalClass::Voice, 9);
         for k in 0..5_000u64 {
-            assert_eq!(a.begin_frame(0, k), b.begin_frame(0, k));
+            assert_eq!(begin(&mut a, 0, k), begin(&mut b, 0, k));
         }
         let t = SimTime::from_micros(5_000 * 2_500);
-        assert_eq!(a.true_snr_db(0, t), b.true_snr_db(0, t));
+        assert_eq!(snr(&mut a, 0, t), snr(&mut b, 0, t));
     }
 
     #[test]
     fn snr_is_cached_within_an_instant_and_refreshed_across_frames() {
         let mut t = make(TerminalClass::Voice, 11);
-        t.begin_frame(0, 0);
+        begin(&mut t, 0, 0);
         let at = SimTime::ZERO;
-        let first = t.true_snr_db(0, at);
+        let first = snr(&mut t, 0, at);
         // Repeated queries at the same instant must return the exact same
         // value without touching the channel RNG.
         for _ in 0..5 {
-            assert_eq!(t.true_snr_db(0, at), first);
+            assert_eq!(snr(&mut t, 0, at), first);
         }
         // A later frame re-samples the channel.
-        t.begin_frame(0, 1);
-        let later = t.true_snr_db(0, SimTime::from_micros(2_500));
+        begin(&mut t, 0, 1);
+        let later = snr(&mut t, 0, SimTime::from_micros(2_500));
         assert_ne!(later, first, "a new frame must refresh the cached SNR");
-        assert_eq!(t.true_snr_db(0, SimTime::from_micros(2_500)), later);
+        assert_eq!(snr(&mut t, 0, SimTime::from_micros(2_500)), later);
     }
 
     #[test]
@@ -999,11 +943,11 @@ mod tests {
             let mut acc = 0.0;
             let n = 40_000u64;
             for k in 0..n {
-                t.begin_frame(0, k);
+                begin(&mut t, 0, k);
                 // Sample only every 10th frame: in lazy mode the intervening
                 // frames are coalesced into one AR(1) step.
                 if k % 10 == 0 {
-                    acc += t.true_snr_db(0, SimTime::from_micros(k * 2_500));
+                    acc += snr(&mut t, 0, SimTime::from_micros(k * 2_500));
                 }
             }
             acc / (n / 10) as f64
@@ -1023,16 +967,16 @@ mod tests {
         let mut t = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
         t.push(ramped);
         for k in 0..4_000u64 {
-            assert!(!t.is_active_at(0, k));
-            let tr = t.begin_frame(0, k);
+            assert!(k < t.active_from_frame[0], "frame {k} must be dormant");
+            let tr = begin(&mut t, 0, k);
             assert_eq!(tr, FrameTraffic::default(), "dormant frame {k} had traffic");
-            assert!(!t.in_talkspurt(0));
-            assert!(!t.has_backlog(0));
+            assert!(!t.in_talkspurt[0]);
+            assert!(!has_backlog(&t, 0));
         }
         let mut generated = 0u64;
         for k in 4_000..80_000u64 {
-            assert!(t.is_active_at(0, k));
-            generated += t.begin_frame(0, k).voice_packet_generated as u64;
+            assert!(k >= t.active_from_frame[0], "frame {k} must be active");
+            generated += begin(&mut t, 0, k).voice_packet_generated as u64;
         }
         assert!(generated > 1_000, "woken terminal generated {generated}");
     }
@@ -1048,15 +992,15 @@ mod tests {
         let mut ramped = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
         ramped.push(deferred);
         for k in 0..2_000u64 {
-            let _ = active.begin_frame(0, k);
-            let _ = ramped.begin_frame(0, k);
+            let _ = begin(&mut active, 0, k);
+            let _ = begin(&mut ramped, 0, k);
         }
         // Drain the always-active twin's backlog so the buffers agree.
-        while active.voice_buffer_mut(0).pop().is_some() {}
+        while active.voice_buffer[0].pop().is_some() {}
         for k in 2_000..10_000u64 {
             assert_eq!(
-                active.begin_frame(0, k),
-                ramped.begin_frame(0, k),
+                begin(&mut active, 0, k),
+                begin(&mut ramped, 0, k),
                 "frame {k}"
             );
         }
@@ -1081,7 +1025,7 @@ mod tests {
         }
         let mut differing = 0;
         for k in 0..10_000u64 {
-            if cols.begin_frame(0, k) != cols.begin_frame(1, k) {
+            if begin(&mut cols, 0, k) != begin(&mut cols, 1, k) {
                 differing += 1;
             }
         }
@@ -1093,37 +1037,211 @@ mod tests {
 
     #[test]
     fn columnar_begin_frame_all_matches_per_terminal_calls() {
-        let streams = RngStreams::new(33);
-        let mk = |cols: &mut TerminalColumns, i: u32, class: TerminalClass| {
-            cols.push(Terminal::new(
-                TerminalId(i),
-                class,
-                FrameClock::paper_default(),
-                VoiceSourceConfig::default(),
-                DataSourceConfig::default(),
-                ChannelConfig::default(),
-                ChannelMode::Lazy,
-                &SpeedProfile::Fixed(50.0),
-                &streams,
-            ));
-        };
-        let mut a = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
-        let mut b = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
-        for i in 0..6u32 {
-            let class = if i % 2 == 0 {
-                TerminalClass::Voice
-            } else {
-                TerminalClass::Data
+        // The two entries into the one traffic step — the whole-population
+        // sweep and the roam phase's per-terminal call — must agree report
+        // for report, and (with the eager channel step hoisted out of the
+        // sweep) sample for sample.
+        for mode in [ChannelMode::Lazy, ChannelMode::Eager] {
+            let streams = RngStreams::new(33);
+            let mk = |cols: &mut TerminalColumns, i: u32, class: TerminalClass| {
+                cols.push(Terminal::new(
+                    TerminalId(i),
+                    class,
+                    FrameClock::paper_default(),
+                    VoiceSourceConfig::default(),
+                    DataSourceConfig::default(),
+                    ChannelConfig::default(),
+                    mode,
+                    &SpeedProfile::Fixed(50.0),
+                    &streams,
+                ));
             };
-            mk(&mut a, i, class);
-            mk(&mut b, i, class);
-        }
-        let mut batched = vec![FrameTraffic::default(); 6];
-        for k in 0..3_000u64 {
-            a.begin_frame_all(k, &mut batched);
-            for (i, slot) in batched.iter().enumerate() {
-                assert_eq!(*slot, b.begin_frame(i, k), "frame {k} terminal {i}");
+            let mut a = TerminalColumns::new(FrameClock::paper_default(), mode);
+            let mut b = TerminalColumns::new(FrameClock::paper_default(), mode);
+            for i in 0..6u32 {
+                let class = if i % 2 == 0 {
+                    TerminalClass::Voice
+                } else {
+                    TerminalClass::Data
+                };
+                mk(&mut a, i, class);
+                mk(&mut b, i, class);
             }
+            let mut batched = vec![FrameTraffic::default(); 6];
+            for k in 0..3_000u64 {
+                a.begin_frame_all(k, &mut batched);
+                for (i, slot) in batched.iter().enumerate() {
+                    assert_eq!(
+                        *slot,
+                        begin(&mut b, i, k),
+                        "{mode:?} frame {k} terminal {i}"
+                    );
+                }
+                if k % 100 == 0 {
+                    let now = a.clock.frame_start(k);
+                    for i in 0..6 {
+                        assert_eq!(
+                            snr(&mut a, i, now),
+                            snr(&mut b, i, now),
+                            "{mode:?} frame {k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Brute-force reference for one terminal's traffic: stepped on every
+    /// frame with no `traffic_boundary` skip — the every-frame semantics the
+    /// skip must reproduce exactly.
+    struct Reference {
+        active_from: u64,
+        in_talkspurt: bool,
+        voice_source: Option<VoiceSource>,
+        voice_buffer: VoiceBuffer,
+        data_source: Option<DataSource>,
+        data_buffer: DataBuffer,
+    }
+
+    impl Reference {
+        fn new(t: Terminal) -> Self {
+            Reference {
+                active_from: t.active_from_frame,
+                in_talkspurt: t.in_talkspurt,
+                voice_source: t.voice_source,
+                voice_buffer: t.voice_buffer,
+                data_source: t.data_source,
+                data_buffer: t.data_buffer,
+            }
+        }
+
+        fn step(&mut self, k: u64, now: SimTime) -> FrameTraffic {
+            let mut out = FrameTraffic {
+                voice_packets_dropped: self.voice_buffer.drop_expired(now) as u32,
+                ..FrameTraffic::default()
+            };
+            if let Some(src) = self.voice_source.as_mut() {
+                let activity = src.on_frame_start(k);
+                self.in_talkspurt = src.is_talking();
+                out.talkspurt_started = activity.talkspurt_started;
+                out.talkspurt_ended = activity.talkspurt_ended;
+                if activity.packet_generated {
+                    self.voice_buffer.push(VoicePacket {
+                        generated_at: now,
+                        deadline: src.deadline_for(k),
+                    });
+                    out.voice_packet_generated = true;
+                }
+            }
+            if let Some(src) = self.data_source.as_mut() {
+                let arrived = src.on_frame_start(k);
+                if arrived > 0 {
+                    self.data_buffer.push_burst(now, arrived);
+                    out.data_packets_arrived = arrived;
+                }
+            }
+            if k < self.active_from {
+                self.voice_buffer.clear();
+                self.data_buffer.clear();
+                self.in_talkspurt = false;
+                out = FrameTraffic::default();
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn boundary_skip_matches_a_brute_force_every_frame_sweep() {
+        const N: u32 = 48;
+        const FRAMES: u64 = 6_000;
+        for mode in [ChannelMode::Lazy, ChannelMode::Eager] {
+            // Two voice terminals per data terminal; the second half is a
+            // dormant tail woken one by one by a load ramp.
+            let build = |i: u32| {
+                let class = if i % 3 == 2 {
+                    TerminalClass::Data
+                } else {
+                    TerminalClass::Voice
+                };
+                let mut t = terminal(i, class, 41, mode);
+                if i >= N / 2 {
+                    t.set_active_from_frame(200 * u64::from(i + 1 - N / 2));
+                }
+                t
+            };
+            let clock = FrameClock::paper_default();
+            let mut cols = TerminalColumns::new(clock, mode);
+            let mut reference: Vec<Reference> = Vec::new();
+            for i in 0..N {
+                cols.push(build(i));
+                reference.push(Reference::new(build(i)));
+            }
+            let mut service = Xoshiro256StarStar::from_seed_u64(0x5E5_71CE);
+            let mut traffic = vec![FrameTraffic::default(); N as usize];
+            let (mut skipped, mut popped, mut woke_talking) = (0u64, 0u64, 0u32);
+            for k in 0..FRAMES {
+                skipped += cols.traffic_boundary.iter().filter(|&&b| k < b).count() as u64;
+                let totals = cols.begin_frame_all(k, &mut traffic);
+                let now = clock.frame_start(k);
+                let mut expected = TrafficTotals::default();
+                for (i, r) in reference.iter_mut().enumerate() {
+                    let out = r.step(k, now);
+                    woke_talking += (k == r.active_from && r.in_talkspurt) as u32;
+                    assert_eq!(traffic[i], out, "{mode:?} frame {k} terminal {i}");
+                    assert_eq!(
+                        cols.voice_buffer[i].len(),
+                        r.voice_buffer.len(),
+                        "{mode:?} frame {k} terminal {i} voice backlog"
+                    );
+                    assert_eq!(
+                        cols.voice_buffer[i].earliest_deadline(),
+                        r.voice_buffer.earliest_deadline(),
+                        "{mode:?} frame {k} terminal {i} voice deadline"
+                    );
+                    assert_eq!(
+                        cols.data_buffer[i].len(),
+                        r.data_buffer.len(),
+                        "{mode:?} frame {k} terminal {i} data backlog"
+                    );
+                    assert_eq!(
+                        cols.in_talkspurt[i], r.in_talkspurt,
+                        "{mode:?} frame {k} terminal {i} talkspurt"
+                    );
+                    expected.voice_generated += out.voice_packet_generated as u64;
+                    expected.voice_dropped += out.voice_packets_dropped as u64;
+                    expected.data_arrived += out.data_packets_arrived as u64;
+                }
+                assert_eq!(totals, expected, "{mode:?} frame {k} totals");
+                // Mimic MAC service between sweeps: it only ever removes
+                // packets, which is why the stored boundary stays
+                // conservative — so the skip must survive it.
+                for (i, r) in reference.iter_mut().enumerate() {
+                    if Sampler::bernoulli(&mut service, 0.25) {
+                        let served = cols.voice_buffer[i].pop();
+                        assert_eq!(served, r.voice_buffer.pop());
+                        popped += served.is_some() as u64;
+                    }
+                    if Sampler::bernoulli(&mut service, 0.25) {
+                        let max = 1 + Sampler::uniform_index(&mut service, 4) as u32;
+                        let served = cols.data_buffer[i].pop(max);
+                        assert_eq!(served, r.data_buffer.pop(max));
+                        popped += served.iter().map(|run| u64::from(run.count)).sum::<u64>();
+                    }
+                }
+            }
+            // The comparison is only meaningful if the skip, the service and
+            // a wake-up in mid-talkspurt (the activation edge the boundary
+            // must never skip) all actually happened.
+            let visits = FRAMES * u64::from(N);
+            assert!(
+                skipped > visits / 2,
+                "{mode:?}: only {skipped} of {visits} skipped"
+            );
+            assert!(popped > 1_000, "{mode:?}: only {popped} packets served");
+            assert!(
+                woke_talking >= 2,
+                "{mode:?}: {woke_talking} mid-talkspurt wake-ups"
+            );
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::config::SimConfig;
 use crate::world::FrameWorld;
 use charisma_des::SimTime;
 use charisma_traffic::{TerminalClass, TerminalId};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A set of terminal ids backed by a bitset.
 ///
@@ -143,22 +143,12 @@ pub fn release_ended_reservations(world: &FrameWorld<'_>, reservations: &mut IdS
     reservations.retain(|id| !world.traffic[id.index() as usize].talkspurt_ended);
 }
 
-/// Reserved voice terminals that currently have a packet due, ordered by
-/// earliest deadline (the natural service order for isochronous traffic).
-#[deprecated(note = "use the allocation-free `reserved_voice_due_into` instead")]
-pub fn reserved_voice_due(world: &FrameWorld<'_>, reservations: &IdSet) -> Vec<TerminalId> {
-    let mut scratch = Vec::new();
-    let mut out = Vec::new();
-    reserved_voice_due_into(world, reservations, &mut scratch, &mut out);
-    out
-}
-
-/// Allocation-free variant of `reserved_voice_due`: clears `out` and fills it
-/// with the reserved voice terminals that have a packet due, ordered by
-/// earliest deadline (ties broken by id — a total order, so the result does
-/// not depend on the set's iteration order).  `scratch` holds the
-/// (deadline, id) pairs during the sort; both buffers reuse their capacity
-/// across frames.
+/// Clears `out` and fills it with the reserved voice terminals that
+/// currently have a packet due, ordered by earliest deadline (the natural
+/// service order for isochronous traffic; ties broken by id — a total order,
+/// so the result does not depend on the set's iteration order).  `scratch`
+/// holds the (deadline, id) pairs during the sort; both buffers reuse their
+/// capacity across frames.
 pub fn reserved_voice_due_into(
     world: &FrameWorld<'_>,
     reservations: &IdSet,
@@ -176,24 +166,13 @@ pub fn reserved_voice_due_into(
     out.extend(scratch.iter().map(|&(_, id)| id));
 }
 
-/// Terminals that need to send a transmission request this frame: voice
-/// terminals with a buffered packet and no reservation, and data terminals
-/// with buffered packets — excluding any terminal already represented at the
-/// base station (`exclude`, e.g. already in the request queue).
-#[deprecated(note = "use the allocation-free `contenders_into` instead")]
-pub fn contenders(
-    world: &FrameWorld<'_>,
-    reservations: &IdSet,
-    exclude: &IdSet,
-) -> Vec<TerminalId> {
-    let mut out = Vec::new();
-    contenders_into(world, reservations, exclude, &mut out);
-    out
-}
-
-/// Fills `out` with the contending terminal ids (see `contenders`), reusing
-/// its capacity.  Protocols call this with a buffer they keep across frames
-/// so the request phase never allocates.
+/// Fills `out` with the terminals that need to send a transmission request
+/// this frame: voice terminals with a buffered packet and no reservation,
+/// and data terminals with buffered packets — excluding any terminal already
+/// represented at the base station (`exclude`, e.g. already in the request
+/// queue).  `out` is cleared first and keeps its capacity: protocols call
+/// this with a buffer they keep across frames so the request phase never
+/// allocates.
 pub fn contenders_into(
     world: &FrameWorld<'_>,
     reservations: &IdSet,
@@ -300,12 +279,6 @@ impl RequestQueue {
     pub fn iter(&self) -> impl Iterator<Item = TerminalId> + '_ {
         self.items.iter().copied()
     }
-
-    /// The set of queued terminals (for exclusion from contention).
-    #[deprecated(note = "collect into an `IdSet` via `iter()` instead")]
-    pub fn as_set(&self) -> HashSet<TerminalId> {
-        self.items.iter().copied().collect()
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +322,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn remove_deletes_only_the_named_terminal() {
         let mut q = queue(true, 10);
         q.push(TerminalId(1));
@@ -358,7 +330,6 @@ mod tests {
         q.remove(TerminalId(2));
         let left: Vec<_> = q.iter().collect();
         assert_eq!(left, vec![TerminalId(1), TerminalId(3)]);
-        assert!(q.as_set().contains(&TerminalId(3)));
     }
 
     #[test]

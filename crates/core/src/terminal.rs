@@ -19,9 +19,7 @@
 //! of 300-byte structs.
 
 use charisma_des::{FrameClock, RngStreams, StreamId, Xoshiro256StarStar};
-use charisma_radio::{
-    ChannelConfig, ChannelMode, ChannelParts, CombinedChannel, Mobility, SpeedProfile,
-};
+use charisma_radio::{ChannelConfig, ChannelMode, CombinedChannel, Mobility, SpeedProfile};
 use charisma_traffic::{
     DataBuffer, DataSource, DataSourceConfig, TerminalClass, TerminalId, VoiceBuffer, VoiceSource,
     VoiceSourceConfig,
@@ -45,36 +43,10 @@ pub struct FrameTraffic {
 
 /// One mobile terminal, as built from the scenario seed.
 ///
-/// Consumed by [`crate::columns::TerminalColumns::push`], which splits the
-/// state into parallel columns for the batched per-frame sweep.
+/// Consumed by [`crate::columns::TerminalColumns::push`], which destructures
+/// it into parallel columns for the batched per-frame sweep.
 #[derive(Debug, Clone)]
 pub struct Terminal {
-    id: TerminalId,
-    class: TerminalClass,
-    clock: FrameClock,
-    voice_source: Option<VoiceSource>,
-    voice_buffer: VoiceBuffer,
-    data_source: Option<DataSource>,
-    data_buffer: DataBuffer,
-    channel: CombinedChannel,
-    /// How the channel is advanced along the frame grid (lazy by default).
-    channel_mode: ChannelMode,
-    /// Randomness for permission-probability and slot-selection decisions.
-    contention_rng: Xoshiro256StarStar,
-    /// Randomness for packet-error draws of this terminal's transmissions.
-    phy_rng: Xoshiro256StarStar,
-    in_talkspurt: bool,
-    /// First frame at which the terminal participates (0 for all terminals
-    /// except those activated mid-run by a load ramp).  A dormant terminal
-    /// advances its sources — keeping RNG streams aligned with an
-    /// always-active population — but discards the traffic and never
-    /// contends.
-    active_from_frame: u64,
-}
-
-/// A [`Terminal`] decomposed into the pieces the columnar store keeps in
-/// parallel arrays.  Produced by [`Terminal::into_parts`].
-pub(crate) struct TerminalParts {
     pub(crate) id: TerminalId,
     pub(crate) class: TerminalClass,
     pub(crate) clock: FrameClock,
@@ -82,11 +54,19 @@ pub(crate) struct TerminalParts {
     pub(crate) voice_buffer: VoiceBuffer,
     pub(crate) data_source: Option<DataSource>,
     pub(crate) data_buffer: DataBuffer,
-    pub(crate) channel: ChannelParts,
+    pub(crate) channel: CombinedChannel,
+    /// How the channel is advanced along the frame grid (lazy by default).
     pub(crate) channel_mode: ChannelMode,
+    /// Randomness for permission-probability and slot-selection decisions.
     pub(crate) contention_rng: Xoshiro256StarStar,
+    /// Randomness for packet-error draws of this terminal's transmissions.
     pub(crate) phy_rng: Xoshiro256StarStar,
     pub(crate) in_talkspurt: bool,
+    /// First frame at which the terminal participates (0 for all terminals
+    /// except those activated mid-run by a load ramp).  A dormant terminal
+    /// advances its sources — keeping RNG streams aligned with an
+    /// always-active population — but discards the traffic and never
+    /// contends.
     pub(crate) active_from_frame: u64,
 }
 
@@ -202,36 +182,16 @@ impl Terminal {
 
     /// Re-points the channel's mean SNR (dB).  The multi-cell system layer
     /// calls this while placing terminals at construction time; once a
-    /// terminal is pushed into a columnar store, updates go through
-    /// `TerminalColumns`/`ColumnsView::set_mean_snr_db` instead.
+    /// terminal is pushed into a columnar store, the system layer re-points
+    /// it every frame through the store's column view instead.
     pub fn set_mean_snr_db(&mut self, mean_snr_db: f64) {
         self.channel.set_mean_snr_db(mean_snr_db);
-    }
-
-    /// Decomposes the terminal into the pieces stored columnar-ly.
-    pub(crate) fn into_parts(self) -> TerminalParts {
-        TerminalParts {
-            id: self.id,
-            class: self.class,
-            clock: self.clock,
-            voice_source: self.voice_source,
-            voice_buffer: self.voice_buffer,
-            data_source: self.data_source,
-            data_buffer: self.data_buffer,
-            channel: self.channel.into_parts(),
-            channel_mode: self.channel_mode,
-            contention_rng: self.contention_rng,
-            phy_rng: self.phy_rng,
-            in_talkspurt: self.in_talkspurt,
-            active_from_frame: self.active_from_frame,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charisma_des::SimTime;
 
     fn make(class: TerminalClass, seed: u64) -> Terminal {
         let streams = RngStreams::new(seed);
@@ -266,23 +226,6 @@ mod tests {
         assert!(!t.is_active_at(0));
         assert!(!t.is_active_at(3_999));
         assert!(t.is_active_at(4_000));
-    }
-
-    #[test]
-    fn into_parts_preserves_identity_and_streams() {
-        let mut t = make(TerminalClass::Voice, 3);
-        t.set_active_from_frame(17);
-        t.set_mean_snr_db(21.5);
-        let talk = t.in_talkspurt();
-        let parts = t.into_parts();
-        assert_eq!(parts.id, TerminalId(0));
-        assert_eq!(parts.class, TerminalClass::Voice);
-        assert_eq!(parts.active_from_frame, 17);
-        assert_eq!(parts.in_talkspurt, talk);
-        assert_eq!(parts.channel.config.mean_snr_db, 21.5);
-        assert!(parts.voice_source.is_some());
-        assert!(parts.data_source.is_none());
-        assert_eq!(parts.channel.now, SimTime::ZERO);
     }
 
     #[test]

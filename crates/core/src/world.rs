@@ -24,9 +24,9 @@
 //! world's *index accessors* — [`FrameWorld::members`] hands out the member
 //! id slice, and per-terminal reads go through [`FrameWorld::class`],
 //! [`FrameWorld::voice_backlog`], [`FrameWorld::has_backlog`] and friends.
-//! The previous object getters ([`FrameWorld::terminal`],
-//! [`FrameWorld::terminal_mut`]) survive one release as thin `#[deprecated]`
-//! shims returning proxy handles.
+//! Those accessors are the MAC-facing layer: each one calls the single
+//! implementation on the crate-internal column view, whose partitioned
+//! exclusivity contract the [`TerminalTable`] handle carries into the world.
 
 use crate::columns::{ColumnsView, TerminalColumns};
 use crate::config::SimConfig;
@@ -38,7 +38,11 @@ use charisma_radio::{CsiEstimate, CsiEstimator};
 use charisma_traffic::{DataBuffer, TerminalClass, TerminalId, VoiceBuffer};
 use std::marker::PhantomData;
 
-/// A borrow-like handle over the global terminal column store.
+/// A borrow-like handle over the global terminal column store: the form in
+/// which [`crate::cell::Cell::step`] and [`FrameWorld::new`] accept the
+/// terminal population.  It has no per-terminal methods of its own — it only
+/// carries the column view and the borrow's lifetime into the world, whose
+/// accessors are the MAC-facing API.
 ///
 /// In a single-cell run this is just a reborrow of the scenario's
 /// [`TerminalColumns`].  In a sharded multi-cell run every cell's
@@ -98,60 +102,6 @@ impl<'a> TerminalTable<'a> {
             view: self.view,
             _marker: PhantomData,
         }
-    }
-
-    // Element accessors.  SAFETY (applies to each): the table's construction
-    // contract licenses access to the element — either the table was built
-    // from `&mut TerminalColumns` (full exclusivity) or via `from_view`
-    // under the membership partition; `&mut self` on the mutating accessors
-    // prevents a second live reference through *this* table.
-
-    pub(crate) fn class(&self, i: usize) -> TerminalClass {
-        unsafe { self.view.class(i) }
-    }
-
-    pub(crate) fn in_talkspurt(&self, i: usize) -> bool {
-        unsafe { self.view.in_talkspurt(i) }
-    }
-
-    pub(crate) fn voice_backlog(&self, i: usize) -> usize {
-        unsafe { self.view.voice_backlog(i) }
-    }
-
-    pub(crate) fn data_backlog(&self, i: usize) -> u64 {
-        unsafe { self.view.data_backlog(i) }
-    }
-
-    pub(crate) fn has_backlog(&self, i: usize) -> bool {
-        unsafe { self.view.has_backlog(i) }
-    }
-
-    pub(crate) fn earliest_voice_deadline(&self, i: usize) -> Option<SimTime> {
-        unsafe { self.view.earliest_voice_deadline(i) }
-    }
-
-    pub(crate) fn oldest_data_arrival(&self, i: usize) -> Option<SimTime> {
-        unsafe { self.view.oldest_data_arrival(i) }
-    }
-
-    pub(crate) fn true_snr_db(&mut self, i: usize, t: SimTime) -> f64 {
-        unsafe { self.view.true_snr_db(i, t) }
-    }
-
-    pub(crate) fn voice_buffer_mut(&mut self, i: usize) -> &mut VoiceBuffer {
-        unsafe { self.view.voice_buffer_mut(i) }
-    }
-
-    pub(crate) fn data_buffer_mut(&mut self, i: usize) -> &mut DataBuffer {
-        unsafe { self.view.data_buffer_mut(i) }
-    }
-
-    pub(crate) fn contention_rng(&mut self, i: usize) -> &mut Xoshiro256StarStar {
-        unsafe { self.view.contention_rng(i) }
-    }
-
-    pub(crate) fn phy_rng(&mut self, i: usize) -> &mut Xoshiro256StarStar {
-        unsafe { self.view.phy_rng(i) }
     }
 }
 
@@ -215,124 +165,6 @@ pub struct DataTx {
     /// Packets corrupted by the channel (they remain queued for
     /// retransmission).
     pub errored: u32,
-}
-
-/// Read-only proxy for one terminal, returned by the deprecated
-/// [`FrameWorld::terminal`] shim.  New code should use the index accessors
-/// ([`FrameWorld::class`], [`FrameWorld::voice_backlog`], …) directly.
-pub struct TerminalRef<'w> {
-    view: ColumnsView,
-    i: usize,
-    _marker: PhantomData<&'w ()>,
-}
-
-impl TerminalRef<'_> {
-    /// The terminal's service class.
-    pub fn class(&self) -> TerminalClass {
-        unsafe { self.view.class(self.i) }
-    }
-
-    /// Whether the terminal is currently in a talkspurt.
-    pub fn in_talkspurt(&self) -> bool {
-        unsafe { self.view.in_talkspurt(self.i) }
-    }
-
-    /// Number of voice packets waiting in the transmit buffer.
-    pub fn voice_backlog(&self) -> usize {
-        unsafe { self.view.voice_backlog(self.i) }
-    }
-
-    /// Number of data packets waiting in the transmit buffer.
-    pub fn data_backlog(&self) -> u64 {
-        unsafe { self.view.data_backlog(self.i) }
-    }
-
-    /// Whether the terminal has anything to send.
-    pub fn has_backlog(&self) -> bool {
-        unsafe { self.view.has_backlog(self.i) }
-    }
-
-    /// Earliest deadline among buffered voice packets.
-    pub fn earliest_voice_deadline(&self) -> Option<SimTime> {
-        unsafe { self.view.earliest_voice_deadline(self.i) }
-    }
-
-    /// Arrival time of the oldest buffered data packet.
-    pub fn oldest_data_arrival(&self) -> Option<SimTime> {
-        unsafe { self.view.oldest_data_arrival(self.i) }
-    }
-}
-
-/// Mutable proxy for one terminal, returned by the deprecated
-/// [`FrameWorld::terminal_mut`] shim.  New code should use the index
-/// accessors ([`FrameWorld::voice_buffer_mut`], [`FrameWorld::true_snr_db`],
-/// …) directly.
-pub struct TerminalMut<'w> {
-    view: ColumnsView,
-    i: usize,
-    _marker: PhantomData<&'w mut ()>,
-}
-
-impl TerminalMut<'_> {
-    /// The terminal's service class.
-    pub fn class(&self) -> TerminalClass {
-        unsafe { self.view.class(self.i) }
-    }
-
-    /// Whether the terminal is currently in a talkspurt.
-    pub fn in_talkspurt(&self) -> bool {
-        unsafe { self.view.in_talkspurt(self.i) }
-    }
-
-    /// Number of voice packets waiting in the transmit buffer.
-    pub fn voice_backlog(&self) -> usize {
-        unsafe { self.view.voice_backlog(self.i) }
-    }
-
-    /// Number of data packets waiting in the transmit buffer.
-    pub fn data_backlog(&self) -> u64 {
-        unsafe { self.view.data_backlog(self.i) }
-    }
-
-    /// Whether the terminal has anything to send.
-    pub fn has_backlog(&self) -> bool {
-        unsafe { self.view.has_backlog(self.i) }
-    }
-
-    /// Earliest deadline among buffered voice packets.
-    pub fn earliest_voice_deadline(&self) -> Option<SimTime> {
-        unsafe { self.view.earliest_voice_deadline(self.i) }
-    }
-
-    /// Arrival time of the oldest buffered data packet.
-    pub fn oldest_data_arrival(&self) -> Option<SimTime> {
-        unsafe { self.view.oldest_data_arrival(self.i) }
-    }
-
-    /// Mutable access to the voice buffer.
-    pub fn voice_buffer_mut(&mut self) -> &mut VoiceBuffer {
-        unsafe { self.view.voice_buffer_mut(self.i) }
-    }
-
-    /// Mutable access to the data buffer.
-    pub fn data_buffer_mut(&mut self) -> &mut DataBuffer {
-        unsafe { self.view.data_buffer_mut(self.i) }
-    }
-
-    /// The terminal's true instantaneous SNR at time `t`.
-    pub fn true_snr_db(&mut self, t: SimTime) -> f64 {
-        unsafe { self.view.true_snr_db(self.i, t) }
-    }
-
-    /// The contention random stream (permission probability, slot choice).
-    pub fn contention_rng(&mut self) -> &mut Xoshiro256StarStar {
-        unsafe { self.view.contention_rng(self.i) }
-    }
-
-    /// The packet-error random stream.
-    pub fn phy_rng(&mut self) -> &mut Xoshiro256StarStar {
-        unsafe { self.view.phy_rng(self.i) }
-    }
 }
 
 /// The mutable per-frame view handed to a protocol's `run_frame`.
@@ -407,30 +239,6 @@ impl<'a> FrameWorld<'a> {
         self.terminals.len()
     }
 
-    /// Immutable proxy for a terminal.
-    #[deprecated(note = "use the index accessors instead: `world.class(id)`, \
-                `world.voice_backlog(id)`, `world.has_backlog(id)`, …")]
-    pub fn terminal(&self, id: TerminalId) -> TerminalRef<'_> {
-        TerminalRef {
-            view: self.terminals.view,
-            i: id.index() as usize,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Mutable proxy for a terminal.
-    #[deprecated(
-        note = "use the index accessors instead: `world.voice_buffer_mut(id)`, \
-                `world.true_snr_db(id)`, `world.contention_rng(id)`, …"
-    )]
-    pub fn terminal_mut(&mut self, id: TerminalId) -> TerminalMut<'_> {
-        TerminalMut {
-            view: self.terminals.view,
-            i: id.index() as usize,
-            _marker: PhantomData,
-        }
-    }
-
     /// The ids of the terminals attached to this base station, in attachment
     /// order.  This is the population a MAC protocol serves: in a multi-cell
     /// run, terminals of other cells are invisible here.
@@ -444,65 +252,97 @@ impl<'a> FrameWorld<'a> {
         self.members.iter().copied()
     }
 
-    // ----- per-terminal index accessors (the MAC-facing read surface) -----
+    // ----- per-terminal index accessors (the MAC-facing API) -----
+    //
+    // Each calls the one implementation on the column view.  The table
+    // contract they cite: the table's construction licenses access to the
+    // element — either it was built from `&mut TerminalColumns` (full
+    // exclusivity) or by the system layer under the membership partition,
+    // and protocols only reach terminals through member ids; `&mut self` on
+    // the mutating accessors prevents a second live reference through this
+    // world.
 
     /// The terminal's service class.
     pub fn class(&self, id: TerminalId) -> TerminalClass {
-        self.terminals.class(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.class(id.index() as usize) }
     }
 
     /// Whether the terminal is currently in a talkspurt.
     pub fn in_talkspurt(&self, id: TerminalId) -> bool {
-        self.terminals.in_talkspurt(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.in_talkspurt(id.index() as usize) }
     }
 
     /// Number of voice packets waiting in the terminal's transmit buffer.
     pub fn voice_backlog(&self, id: TerminalId) -> usize {
-        self.terminals.voice_backlog(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.voice_backlog(id.index() as usize) }
     }
 
     /// Number of data packets waiting in the terminal's transmit buffer.
     pub fn data_backlog(&self, id: TerminalId) -> u64 {
-        self.terminals.data_backlog(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.data_backlog(id.index() as usize) }
     }
 
     /// Whether the terminal has anything to send.
     pub fn has_backlog(&self, id: TerminalId) -> bool {
-        self.terminals.has_backlog(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.has_backlog(id.index() as usize) }
     }
 
     /// Earliest deadline among the terminal's buffered voice packets.
     pub fn earliest_voice_deadline(&self, id: TerminalId) -> Option<SimTime> {
-        self.terminals.earliest_voice_deadline(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe {
+            self.terminals
+                .view
+                .earliest_voice_deadline(id.index() as usize)
+        }
     }
 
     /// Arrival time of the terminal's oldest buffered data packet.
     pub fn oldest_data_arrival(&self, id: TerminalId) -> Option<SimTime> {
-        self.terminals.oldest_data_arrival(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.oldest_data_arrival(id.index() as usize) }
     }
 
     /// The terminal's true instantaneous SNR at the current frame start
     /// (memoised per frame in lazy channel mode).
     pub fn true_snr_db(&mut self, id: TerminalId) -> f64 {
-        let now = self.now;
-        self.terminals.true_snr_db(id.index() as usize, now)
+        // SAFETY: the table contract above.
+        unsafe {
+            self.terminals
+                .view
+                .true_snr_db(id.index() as usize, self.now)
+        }
     }
 
     /// Mutable access to the terminal's voice buffer (transmission engine
     /// and tests).
     pub fn voice_buffer_mut(&mut self, id: TerminalId) -> &mut VoiceBuffer {
-        self.terminals.voice_buffer_mut(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.voice_buffer_mut(id.index() as usize) }
     }
 
     /// Mutable access to the terminal's data buffer (transmission engine
     /// and tests).
     pub fn data_buffer_mut(&mut self, id: TerminalId) -> &mut DataBuffer {
-        self.terminals.data_buffer_mut(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.data_buffer_mut(id.index() as usize) }
     }
 
     /// The terminal's contention random stream.
     pub fn contention_rng(&mut self, id: TerminalId) -> &mut Xoshiro256StarStar {
-        self.terminals.contention_rng(id.index() as usize)
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.contention_rng(id.index() as usize) }
+    }
+
+    /// The terminal's packet-error random stream (transmission engine).
+    fn phy_rng(&mut self, id: TerminalId) -> &mut Xoshiro256StarStar {
+        // SAFETY: the table contract above.
+        unsafe { self.terminals.view.phy_rng(id.index() as usize) }
     }
 
     /// The metrics accumulator (protocols may add protocol-specific samples).
@@ -595,12 +435,11 @@ impl<'a> FrameWorld<'a> {
             }
             transmitters.clear();
             for (pos, &id) in remaining.iter().enumerate() {
-                let i = id.index() as usize;
-                let p = match self.terminals.class(i) {
+                let p = match self.class(id) {
                     TerminalClass::Voice => pv,
                     TerminalClass::Data => pd,
                 };
-                if Sampler::bernoulli(self.terminals.contention_rng(i), p) {
+                if Sampler::bernoulli(self.contention_rng(id), p) {
                     transmitters.push(pos);
                 }
             }
@@ -630,9 +469,8 @@ impl<'a> FrameWorld<'a> {
     /// Produces a CSI estimate for a terminal from pilot symbols observed at
     /// the current frame start (used for new requests and CSI polling).
     pub fn estimate_csi(&mut self, id: TerminalId) -> CsiEstimate {
-        let now = self.now;
-        let true_snr = self.terminals.true_snr_db(id.index() as usize, now);
-        self.estimator.estimate(true_snr, now)
+        let true_snr = self.true_snr_db(id);
+        self.estimator.estimate(true_snr, self.now)
     }
 
     /// How long a CSI estimate stays valid before CHARISMA must refresh it.
@@ -646,8 +484,7 @@ impl<'a> FrameWorld<'a> {
         match link {
             LinkAdaptation::Fixed => self.fixed_phy.packets_per_slot(0.0),
             LinkAdaptation::Tracking => {
-                let now = self.now;
-                let snr = self.terminals.true_snr_db(id.index() as usize, now);
+                let snr = self.true_snr_db(id);
                 self.adaptive_phy.packets_per_slot(snr)
             }
             LinkAdaptation::Announced { snr_db } => self.adaptive_phy.packets_per_slot(snr_db),
@@ -657,8 +494,7 @@ impl<'a> FrameWorld<'a> {
     /// Per-packet error probability for a transmission by terminal `id` right
     /// now under the given link adaptation.
     fn error_probability(&mut self, id: TerminalId, link: LinkAdaptation) -> f64 {
-        let now = self.now;
-        let true_snr = self.terminals.true_snr_db(id.index() as usize, now);
+        let true_snr = self.true_snr_db(id);
         match link {
             LinkAdaptation::Fixed => self.fixed_phy.packet_error_probability(true_snr),
             LinkAdaptation::Tracking => self.adaptive_phy.packet_error_probability(true_snr),
@@ -684,11 +520,10 @@ impl<'a> FrameWorld<'a> {
         }
         let per = self.error_probability(id, link);
         let measuring = self.measuring;
-        let i = id.index() as usize;
-        if self.terminals.voice_buffer_mut(i).pop().is_none() {
+        if self.voice_buffer_mut(id).pop().is_none() {
             return VoiceTx::NoPacket;
         }
-        let ok = Sampler::bernoulli(self.terminals.phy_rng(i), 1.0 - per);
+        let ok = Sampler::bernoulli(self.phy_rng(id), 1.0 - per);
         if measuring {
             self.metrics.slots.assigned += slots;
             if ok {
@@ -718,12 +553,7 @@ impl<'a> FrameWorld<'a> {
     /// when the terminal had no packet to lose.
     pub fn fail_voice(&mut self, id: TerminalId, slots: f64) -> bool {
         let measuring = self.measuring;
-        if self
-            .terminals
-            .voice_buffer_mut(id.index() as usize)
-            .pop()
-            .is_none()
-        {
+        if self.voice_buffer_mut(id).pop().is_none() {
             return false;
         }
         if measuring {
@@ -759,7 +589,6 @@ impl<'a> FrameWorld<'a> {
         let per = self.error_probability(id, link);
         let now = self.now;
         let measuring = self.measuring;
-        let i = id.index() as usize;
 
         // Detach the scratch buffers so the draw loop can borrow the terminal
         // columns and the metrics simultaneously.
@@ -767,9 +596,7 @@ impl<'a> FrameWorld<'a> {
         let mut requeue = std::mem::take(&mut self.scratch.data_requeue);
         requeue.clear();
 
-        self.terminals
-            .data_buffer_mut(i)
-            .pop_into(budget, &mut runs);
+        self.data_buffer_mut(id).pop_into(budget, &mut runs);
         if runs.is_empty() {
             self.scratch.data_runs = runs;
             self.scratch.data_requeue = requeue;
@@ -781,7 +608,7 @@ impl<'a> FrameWorld<'a> {
         // original arrival time and FIFO position.
         for run in &runs {
             for _ in 0..run.count {
-                let ok = Sampler::bernoulli(self.terminals.phy_rng(i), 1.0 - per);
+                let ok = Sampler::bernoulli(self.phy_rng(id), 1.0 - per);
                 if ok {
                     result.delivered += 1;
                     if measuring {
@@ -801,7 +628,7 @@ impl<'a> FrameWorld<'a> {
         }
         // Re-insert errored packets at the front in their original order.
         for &(arrived, count) in requeue.iter().rev() {
-            self.terminals.data_buffer_mut(i).push_front(arrived, count);
+            self.data_buffer_mut(id).push_front(arrived, count);
         }
         self.scratch.data_runs = runs;
         self.scratch.data_requeue = requeue;
@@ -1115,33 +942,6 @@ mod tests {
                 w.capacity(TerminalId(0), LinkAdaptation::Announced { snr_db: -40.0 }),
                 0.0
             );
-        });
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_object_getters_agree_with_index_accessors() {
-        // The one-release compatibility shims must observe the exact same
-        // state as the index accessors they forward to.
-        with_world(2, 1, 4, |mut w| {
-            for id in [TerminalId(0), TerminalId(1), TerminalId(2)] {
-                assert_eq!(w.terminal(id).class(), w.class(id));
-                assert_eq!(w.terminal(id).in_talkspurt(), w.in_talkspurt(id));
-                assert_eq!(w.terminal(id).voice_backlog(), w.voice_backlog(id));
-                assert_eq!(w.terminal(id).data_backlog(), w.data_backlog(id));
-                assert_eq!(w.terminal(id).has_backlog(), w.has_backlog(id));
-                assert_eq!(
-                    w.terminal(id).earliest_voice_deadline(),
-                    w.earliest_voice_deadline(id)
-                );
-                assert_eq!(
-                    w.terminal(id).oldest_data_arrival(),
-                    w.oldest_data_arrival(id)
-                );
-            }
-            let now = w.now;
-            let via_shim = w.terminal_mut(TerminalId(0)).true_snr_db(now);
-            assert_eq!(via_shim, w.true_snr_db(TerminalId(0)));
         });
     }
 }
