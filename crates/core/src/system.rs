@@ -22,6 +22,17 @@
 //!    base station ([`PathLossConfig`]), and — when a different base station
 //!    has become closer by the hysteresis margin — a handoff attempt is
 //!    recorded in the cell's **mailbox**.  Nothing cross-cell is touched.
+//!    The nearest base station comes from a `CellLocator` built once per
+//!    run: a walk from the serving cell over precomputed neighbourhoods
+//!    (every center within two spacings), so a lookup costs O(neighbours)
+//!    rather than O(cells), and nothing at all for a terminal within half a
+//!    spacing of its serving center.  It is exact: when the walk stops at a
+//!    cell closer than half the neighbourhood reach, the triangle
+//!    inequality certifies that no cell outside the neighbourhood can be as
+//!    close, so the answer — distance bits and lowest-id tie-break included
+//!    — is the full scan's.  Positions the certificate cannot cover
+//!    (outside the layout's hull) fall back to that scan, which debug
+//!    builds also re-run after every lookup as an oracle.
 //! 3. **Merge** (serial): the mailboxes are applied in cell-id order —
 //!    queue departures first-come, attempts admitted, queued or refused per
 //!    [`crate::config::HandoffConfig`] — and the per-cell streaming
@@ -67,7 +78,7 @@ use std::sync::Barrier;
 /// origin, cells 1–6 the first ring, 7–18 the second, …); line layouts march
 /// along the x axis.  Adjacent centers sit `√3 · radius` apart in both.
 pub fn cell_centers(layout: &Layout, cells: u32) -> Vec<Position> {
-    let spacing = 3f64.sqrt() * layout.cell_radius_m();
+    let spacing = center_spacing_m(layout);
     match layout {
         Layout::Line { .. } => (0..cells)
             .map(|i| Position::new(i as f64 * spacing, 0.0))
@@ -103,6 +114,12 @@ pub fn cell_centers(layout: &Layout, cells: u32) -> Vec<Position> {
     }
 }
 
+/// The distance between adjacent cell centers: `√3 · radius` in both
+/// layouts.
+fn center_spacing_m(layout: &Layout) -> f64 {
+    3f64.sqrt() * layout.cell_radius_m()
+}
+
 /// Number of cells in a hex city of `rings` complete rings around the center
 /// cell: `1 + 3·rings·(rings + 1)` (0 rings → 1 cell, 1 → 7, 2 → 19, …,
 /// 6 → 127).  Pass the result as the cell count of a [`Layout::Hex`] system
@@ -135,6 +152,135 @@ pub fn layout_bounds(centers: &[Position], cell_radius_m: f64) -> Bounds {
         Position::new(min.x_m - cell_radius_m, min.y_m - cell_radius_m),
         Position::new(max.x_m + cell_radius_m, max.y_m + cell_radius_m),
     )
+}
+
+/// The nearest cell center to `pos` by a scan over every center: the
+/// first minimum of `pos.distance_m(center)` in cell-id order, so an exact
+/// tie goes to the lowest id.
+///
+/// This is the definition [`CellLocator::nearest`] reproduces bit for bit;
+/// the locator calls it only when its certificate fails.
+///
+/// # Panics
+///
+/// Panics when `centers` is empty.
+fn nearest_by_scan(centers: &[Position], pos: Position) -> (u32, f64) {
+    centers
+        .iter()
+        .enumerate()
+        .map(|(c, &center)| (c as u32, pos.distance_m(center)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("a system has at least one cell")
+}
+
+/// Exact nearest-cell lookup in O(neighbours) instead of O(cells).
+///
+/// Each cell `k` keeps its *neighbourhood* `N_k`: the ids of every center
+/// within `reach` of its own (itself included), in ascending id order.
+/// [`CellLocator::nearest`] walks from a start cell to the first minimum of
+/// its neighbourhood until the walk stays put at some `k`.  Every move
+/// strictly lowers the (distance, id) pair, so the walk terminates.
+///
+/// **Certificate.**  A center `j ∉ N_k` lies more than `reach` from
+/// `c_k`, so by the triangle inequality `d(p, j) > reach − d(p, k)`.  When
+/// `d(p, k) < reach / 2` every such `j` is strictly farther than `k`, the
+/// scan's winner lies in `N_k`, and scanning `N_k` in id order with the same
+/// float expression returns the same bits as [`nearest_by_scan`] — ties to
+/// the lowest id included.  Otherwise (positions outside the layout's hull)
+/// the locator falls back to the full scan.
+///
+/// **Inner disc.**  The same inequality with the smallest center separation
+/// in place of `reach`: a position closer to the start cell than half that
+/// separation is strictly closer to it than to any other center, so the
+/// walk returns at once — the common case of a terminal deep inside its
+/// serving cell.  The relative slack on every bound dwarfs the few-ulp
+/// rounding error of the distances involved.
+#[derive(Debug)]
+struct CellLocator {
+    centers: Vec<Position>,
+    /// `neighbours[offsets[k]..offsets[k + 1]]` is `N_k`.
+    offsets: Vec<u32>,
+    neighbours: Vec<u32>,
+    /// Walks that stop strictly closer than this are certified.
+    certified_m: f64,
+    /// Positions strictly closer than this to the start cell are certified
+    /// without a walk (the inner-disc radius).
+    inner_m: f64,
+}
+
+impl CellLocator {
+    /// Relative slack on the neighbourhood reach and the certificate bound.
+    const SLACK: f64 = 1e-9;
+
+    /// Builds the neighbourhoods of `centers` with a reach of two center
+    /// spacings (the first two hex rings, or two cells either way along a
+    /// line) and finds the smallest center separation, capped at the reach
+    /// (every center outside a neighbourhood is farther than that anyway).
+    /// One pass over the squared pairwise distances.
+    fn new(centers: Vec<Position>, spacing_m: f64) -> Self {
+        let reach = 2.0 * spacing_m * (1.0 + Self::SLACK);
+        let reach_sq = reach * reach;
+        let mut offsets = Vec::with_capacity(centers.len() + 1);
+        let mut neighbours = Vec::new();
+        let mut min_sep_sq = reach_sq;
+        offsets.push(0);
+        for (k, a) in centers.iter().enumerate() {
+            for (j, b) in centers.iter().enumerate() {
+                let (dx, dy) = (a.x_m - b.x_m, a.y_m - b.y_m);
+                let sq = dx * dx + dy * dy;
+                // The separation minimum only folds neighbours, which keeps
+                // its dependency chain off the every-pair path.
+                if sq <= reach_sq {
+                    neighbours.push(j as u32);
+                    if j != k {
+                        min_sep_sq = min_sep_sq.min(sq);
+                    }
+                }
+            }
+            offsets.push(neighbours.len() as u32);
+        }
+        CellLocator {
+            centers,
+            offsets,
+            neighbours,
+            certified_m: 0.5 * reach * (1.0 - Self::SLACK),
+            inner_m: 0.5 * min_sep_sq.sqrt() * (1.0 - Self::SLACK),
+        }
+    }
+
+    /// The cell centers, in cell-index order.
+    fn centers(&self) -> &[Position] {
+        &self.centers
+    }
+
+    /// The nearest cell center to `pos` and its distance, identical to
+    /// [`nearest_by_scan`] (bits included) from any `start` cell.
+    fn nearest(&self, pos: Position, start: u32) -> (u32, f64) {
+        self.walk(pos, start)
+            .unwrap_or_else(|| nearest_by_scan(&self.centers, pos))
+    }
+
+    /// The neighbourhood walk from `start`; `None` when its fixed point is
+    /// not certified (see the [type docs](Self)).
+    fn walk(&self, pos: Position, start: u32) -> Option<(u32, f64)> {
+        let d_start = pos.distance_m(self.centers[start as usize]);
+        if d_start < self.inner_m {
+            return Some((start, d_start));
+        }
+        let mut k = start;
+        loop {
+            let (lo, hi) = (self.offsets[k as usize], self.offsets[k as usize + 1]);
+            let (best, d) = self.neighbours[lo as usize..hi as usize]
+                .iter()
+                .map(|&j| (j, pos.distance_m(self.centers[j as usize])))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("every neighbourhood holds its own cell");
+            if best == k {
+                return (d < self.certified_m).then_some((k, d));
+            }
+            k = best;
+        }
+    }
 }
 
 /// Per-terminal roaming state.
@@ -200,7 +346,7 @@ pub struct SystemWorld {
     traffic: Vec<FrameTraffic>,
     macs: Vec<Box<dyn UplinkMac>>,
     cells: Vec<Cell>,
-    centers: Vec<Position>,
+    locator: CellLocator,
     bounds: Bounds,
     roam: Vec<RoamState>,
     /// Per-cell handoff mailboxes, reused frame after frame.
@@ -234,8 +380,12 @@ impl SystemWorld {
         let streams = RngStreams::new(config.seed);
         let clock = config.clock();
         let per_cell = config.num_voice + config.num_data;
-        let centers = cell_centers(&system.layout, system.cells);
-        let bounds = layout_bounds(&centers, system.layout.cell_radius_m());
+        let locator = CellLocator::new(
+            cell_centers(&system.layout, system.cells),
+            center_spacing_m(&system.layout),
+        );
+        let centers = locator.centers();
+        let bounds = layout_bounds(centers, system.layout.cell_radius_m());
 
         // The DOMAIN_PROTOCOL entity space is split between terminals (upper
         // half, mirrored indices) and cells (counting down from u32::MAX);
@@ -320,7 +470,7 @@ impl SystemWorld {
             traffic,
             macs,
             cells,
-            centers,
+            locator,
             bounds,
             roam,
             mailboxes: (0..n_cells).map(|_| CellMailbox::default()).collect(),
@@ -389,7 +539,7 @@ impl SystemWorld {
             let ctx = FrameCtx {
                 config: &self.config,
                 system: &self.system,
-                centers: &self.centers,
+                locator: &self.locator,
                 bounds: &self.bounds,
                 dt_secs: self.config.frame.frame_duration.as_secs_f64(),
             };
@@ -431,10 +581,19 @@ impl SystemWorld {
             }
         }
 
-        debug_assert_eq!(
-            self.attached_ids_sorted().len(),
-            self.terminals.len(),
-            "handoff must conserve the terminal population"
+        // Population conservation, checked in every build: a lost or
+        // duplicated terminal fails the run instead of writing a plausible
+        // report.  Once per run over the population, so its cost is nil.
+        let ids = self.attached_ids_sorted();
+        assert!(
+            ids.len() == self.terminals.len()
+                && ids
+                    .iter()
+                    .enumerate()
+                    .all(|(i, id)| id.index() as usize == i),
+            "handoff must attach every terminal exactly once: {} attachments for {} terminals",
+            ids.len(),
+            self.terminals.len()
         );
 
         let mut metrics = RunMetrics::default();
@@ -477,7 +636,7 @@ impl SystemWorld {
 struct FrameCtx<'a> {
     config: &'a SimConfig,
     system: &'a SystemConfig,
-    centers: &'a [Position],
+    locator: &'a CellLocator,
     bounds: &'a Bounds,
     dt_secs: f64,
 }
@@ -655,7 +814,7 @@ unsafe fn migrate(
     let d = roam
         .motion
         .position()
-        .distance_m(ctx.centers[target as usize]);
+        .distance_m(ctx.locator.centers()[target as usize]);
     let snr_db = ctx.system.path_loss.mean_snr_db(d) + roam.shadow_db;
     grid.columns.set_mean_snr_db(i, snr_db);
 }
@@ -735,18 +894,21 @@ unsafe fn roam_phase(
         debug_assert_eq!(roam.serving, c as u32);
         roam.motion.advance(ctx.dt_secs, ctx.bounds, &mut roam.rng);
         let pos = roam.motion.position();
-        let d_serving = pos.distance_m(ctx.centers[c]);
+        let d_serving = pos.distance_m(ctx.locator.centers()[c]);
         let snr_db = ctx.system.path_loss.mean_snr_db(d_serving) + roam.shadow_db;
         grid.columns.set_mean_snr_db(i, snr_db);
 
-        // Nearest base station (Voronoi cell of the current position).
-        let (nearest, d_nearest) = ctx
-            .centers
-            .iter()
-            .enumerate()
-            .map(|(cc, &center)| (cc as u32, pos.distance_m(center)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("a system has at least one cell");
+        // Nearest base station (Voronoi cell of the current position),
+        // walked from the serving cell.
+        let (nearest, d_nearest) = ctx.locator.nearest(pos, c as u32);
+        debug_assert_eq!(
+            (nearest, d_nearest.to_bits()),
+            {
+                let (n, d) = nearest_by_scan(ctx.locator.centers(), pos);
+                (n, d.to_bits())
+            },
+            "the neighbourhood walk must agree with the full scan"
+        );
 
         // Leaving a queue: the terminal roamed back into its serving cell's
         // Voronoi region (or towards a third cell) before being admitted.
@@ -961,6 +1123,7 @@ mod tests {
     use super::*;
     use crate::config::{HandoffAdmission, Layout, SystemConfig};
     use crate::scenario::Scenario;
+    use proptest::prelude::*;
 
     fn small_config() -> SimConfig {
         let mut cfg = SimConfig::quick_test();
@@ -1060,6 +1223,123 @@ mod tests {
         assert!(b.contains(Position::ORIGIN));
         assert!(b.contains(Position::new(149.0, -149.0)));
         assert!(!b.contains(Position::new(151.0, 0.0)));
+    }
+
+    fn locator(line: bool, radius: f64, cells: u32) -> CellLocator {
+        let layout = if line {
+            Layout::Line {
+                cell_radius_m: radius,
+            }
+        } else {
+            Layout::Hex {
+                cell_radius_m: radius,
+            }
+        };
+        CellLocator::new(cell_centers(&layout, cells), center_spacing_m(&layout))
+    }
+
+    /// The locator's answer from `start`, as comparable bits.
+    fn located(loc: &CellLocator, pos: Position, start: u32) -> (u32, u64) {
+        let (n, d) = loc.nearest(pos, start);
+        (n, d.to_bits())
+    }
+
+    /// The full scan's answer, as comparable bits.
+    fn scanned(loc: &CellLocator, pos: Position) -> (u32, u64) {
+        let (n, d) = nearest_by_scan(loc.centers(), pos);
+        (n, d.to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_048))]
+
+        /// The oracle: from any start cell (the serving cell may be stale),
+        /// anywhere in the motion bounds or up to one radius outside them,
+        /// the locator returns the scan's cell and distance bit for bit, on
+        /// hex layouts of 1..=127 cells (partial rings included) and line
+        /// layouts of 1..=9 cells.
+        #[test]
+        fn locator_matches_the_full_scan(
+            line in any::<bool>(),
+            cells in 1u32..128,
+            radius in 20.0f64..1_000.0,
+            fx in 0.0f64..1.0,
+            fy in 0.0f64..1.0,
+            start in any::<u32>(),
+        ) {
+            let cells = if line { 1 + cells % 9 } else { cells };
+            let loc = locator(line, radius, cells);
+            let b = layout_bounds(loc.centers(), radius);
+            let pos = Position::new(
+                b.min.x_m - radius + fx * (b.max.x_m - b.min.x_m + 2.0 * radius),
+                b.min.y_m - radius + fy * (b.max.y_m - b.min.y_m + 2.0 * radius),
+            );
+            let truth = scanned(&loc, pos);
+            for start in [start % cells, 0, cells - 1, truth.0] {
+                prop_assert_eq!(located(&loc, pos, start), truth, "start {}", start);
+            }
+            // Walking from the true nearest cell is certified whenever that
+            // cell is within one radius: the roam phase's common case never
+            // pays for the scan.
+            if f64::from_bits(truth.1) <= radius {
+                prop_assert!(loc.walk(pos, truth.0).is_some());
+            }
+        }
+    }
+
+    #[test]
+    fn locator_breaks_exact_ties_to_the_lowest_id() {
+        // Centers (distance exactly zero) and the midpoint of every center
+        // pair (an exact tie wherever both distances round alike), from
+        // both ends of the pair and from cell 0.
+        let mut ties = 0;
+        for (line, radius, cells) in [(false, 400.0, 127), (false, 150.0, 12), (true, 250.0, 9)] {
+            let loc = locator(line, radius, cells);
+            let centers = loc.centers();
+            for (a, &ca) in centers.iter().enumerate() {
+                assert_eq!(located(&loc, ca, 0), (a as u32, 0f64.to_bits()));
+                for (b, &cb) in centers.iter().enumerate().skip(a + 1) {
+                    let mid = Position::new((ca.x_m + cb.x_m) / 2.0, (ca.y_m + cb.y_m) / 2.0);
+                    let truth = scanned(&loc, mid);
+                    if mid.distance_m(ca) == mid.distance_m(cb) && truth.0 == a as u32 {
+                        ties += 1;
+                    }
+                    for start in [a as u32, b as u32, 0] {
+                        assert_eq!(located(&loc, mid, start), truth, "{a}|{b} from {start}");
+                    }
+                }
+            }
+        }
+        assert!(ties > 100, "only {ties} exact ties exercised");
+    }
+
+    #[test]
+    fn only_positions_outside_the_hull_fall_back_to_the_scan() {
+        let radius = 400.0;
+        let loc = locator(false, radius, hex_cells_for_rings(6));
+        let b = layout_bounds(loc.centers(), radius);
+        // A corner of the motion box lies far outside the hexagonal city:
+        // no walk can certify it, so the scan answers.
+        for corner in [b.min, b.max, Position::new(b.min.x_m, b.max.y_m)] {
+            let truth = scanned(&loc, corner);
+            assert!(f64::from_bits(truth.1) > 2.0 * radius);
+            for start in 0..127 {
+                assert!(loc.walk(corner, start).is_none(), "corner from {start}");
+                assert_eq!(located(&loc, corner, start), truth);
+            }
+        }
+        // Inside the city the walk certifies its answer from every start.
+        for interior in [
+            Position::new(1.0, -2.0),
+            Position::new(0.3 * b.max.x_m, 0.2 * b.min.y_m),
+            loc.centers()[100],
+        ] {
+            let truth = scanned(&loc, interior);
+            for start in 0..127 {
+                let walked = loc.walk(interior, start).expect("interior walk certifies");
+                assert_eq!((walked.0, walked.1.to_bits()), truth, "from {start}");
+            }
+        }
     }
 
     #[test]
