@@ -7,18 +7,18 @@
 //! functions so the campaign registry can drive them exactly like the sweep
 //! campaigns.
 
-use crate::{base_config, write_csv, write_output, BaselineWrite, BenchProfile};
+use crate::{base_config, write_csv, write_output_to, BaselineWrite, BenchProfile};
 use charisma::des::{RngStreams, SimDuration, StreamId};
 use charisma::metrics::RunningStat;
 use charisma::phy::{AdaptivePhy, FixedPhy, Phy};
 use charisma::radio::{ChannelConfig, ChannelMode, CombinedChannel, Mobility};
 use charisma::{ProtocolKind, Scenario, SimConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Table 1 — prints every parameter of the common simulation platform and
-/// writes `results/table1_parameters.csv`.
-pub fn run_table1(profile: BenchProfile, _baseline: BaselineWrite) -> Vec<PathBuf> {
+/// writes `table1_parameters.csv` under `dir`.
+pub fn run_table1(profile: BenchProfile, _baseline: BaselineWrite, dir: &Path) -> Vec<PathBuf> {
     let cfg = base_config(profile);
     let frame = &cfg.frame;
 
@@ -151,6 +151,7 @@ pub fn run_table1(profile: BenchProfile, _baseline: BaselineWrite) -> Vec<PathBu
         println!("{k:<42} {v}");
     }
     vec![write_csv(
+        dir,
         "table1_parameters.csv",
         "parameter,value",
         &csv_rows,
@@ -158,8 +159,12 @@ pub fn run_table1(profile: BenchProfile, _baseline: BaselineWrite) -> Vec<PathBu
 }
 
 /// Fig. 5 — a 2-second sample of the combined fading process at 50 km/h;
-/// writes `results/fig5_fading.csv`.
-pub fn run_fig5_fading(_profile: BenchProfile, _baseline: BaselineWrite) -> Vec<PathBuf> {
+/// writes `fig5_fading.csv` under `dir`.
+pub fn run_fig5_fading(
+    _profile: BenchProfile,
+    _baseline: BaselineWrite,
+    dir: &Path,
+) -> Vec<PathBuf> {
     let streams = RngStreams::new(0xF165_BEEF);
     let mut channel = CombinedChannel::new(
         ChannelConfig::default(),
@@ -207,6 +212,7 @@ pub fn run_fig5_fading(_profile: BenchProfile, _baseline: BaselineWrite) -> Vec<
         (rows.last().unwrap().2 - rows[0].2).abs()
     );
     vec![write_csv(
+        dir,
         "fig5_fading.csv",
         "time_s,fast_fading_db,shadowing_db,snr_db",
         &csv,
@@ -214,8 +220,12 @@ pub fn run_fig5_fading(_profile: BenchProfile, _baseline: BaselineWrite) -> Vec<
 }
 
 /// Fig. 7 — ABICM throughput and error behaviour versus CSI; writes
-/// `results/fig7_abicm.csv`.
-pub fn run_fig7_abicm(_profile: BenchProfile, _baseline: BaselineWrite) -> Vec<PathBuf> {
+/// `fig7_abicm.csv` under `dir`.
+pub fn run_fig7_abicm(
+    _profile: BenchProfile,
+    _baseline: BaselineWrite,
+    dir: &Path,
+) -> Vec<PathBuf> {
     let adaptive = AdaptivePhy::default();
     let fixed = FixedPhy::default();
 
@@ -248,6 +258,7 @@ pub fn run_fig7_abicm(_profile: BenchProfile, _baseline: BaselineWrite) -> Vec<P
     println!("constant-BER operating mode of Fig. 7a) while the throughput steps from 1/2 to 5");
     println!("(Fig. 7b); below the range the scheme is in outage (mode 0).");
     vec![write_csv(
+        dir,
         "fig7_abicm.csv",
         "csi_db,mode,normalised_throughput,adaptive_per,fixed_per",
         &rows,
@@ -333,7 +344,8 @@ pub fn measure(
     }
 }
 
-/// The file the frame-loop benchmark record is written to under `results/`.
+/// The file the frame-loop benchmark record is written to in the results
+/// directory.
 ///
 /// Only an explicitly named standard-profile run writes the canonical
 /// `BENCH_frame_loop.json` — the committed baseline the CI regression gate
@@ -355,8 +367,12 @@ pub fn bench_frame_loop_file(profile: BenchProfile, baseline: BaselineWrite) -> 
 /// terminals) under CHARISMA and D-TDMA/VR with both the eager baseline and
 /// the lazy hot path, prints frames per second, and writes the routed
 /// record file (schema `charisma.bench_frame_loop.v1`, see
-/// [`bench_frame_loop_file`]).
-pub fn run_bench_frame_loop(profile: BenchProfile, baseline: BaselineWrite) -> Vec<PathBuf> {
+/// [`bench_frame_loop_file`]) under `dir`.
+pub fn run_bench_frame_loop(
+    profile: BenchProfile,
+    baseline: BaselineWrite,
+    dir: &Path,
+) -> Vec<PathBuf> {
     let config = reference_config(profile);
     let reps = if profile == BenchProfile::Quick { 1 } else { 3 };
     let protocols = BENCH_PROTOCOLS;
@@ -455,7 +471,7 @@ pub fn run_bench_frame_loop(profile: BenchProfile, baseline: BaselineWrite) -> V
         run_objects.join(",\n"),
         speedups.join(",\n"),
     );
-    let path = write_output(bench_frame_loop_file(profile, baseline), &json)
+    let path = write_output_to(dir, bench_frame_loop_file(profile, baseline), &json)
         .expect("failed to persist the benchmark record");
     vec![path]
 }

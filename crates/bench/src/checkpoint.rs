@@ -431,7 +431,7 @@ pub fn run_entry_durable(
         EntryKind::Custom { .. } => {
             // Bespoke generators have no sweep shape to checkpoint; they run
             // to completion or not at all, which is already resume-safe.
-            return registry::run_entry(name, profile, threads, baseline)
+            return registry::run_entry(name, profile, threads, baseline, &opts.results_dir)
                 .map_err(DurableError::Failure);
         }
     };

@@ -217,9 +217,13 @@ pub fn write_output_to(dir: &Path, name: &str, contents: &str) -> std::io::Resul
     Ok(path)
 }
 
-/// Writes a CSV file under [`output_dir`]; returns the path written.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
-    let path = output_dir().join(name);
+/// Writes a CSV file under `dir` (created on demand); returns the path
+/// written.
+pub fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) -> PathBuf {
+    if let Err(e) = fs::create_dir_all(dir) {
+        eprintln!("warning: could not create {dir:?}: {e}");
+    }
+    let path = dir.join(name);
     match fs::File::create(&path) {
         Ok(mut f) => {
             let _ = writeln!(f, "{header}");

@@ -11,7 +11,7 @@
 //! generated section of the reproduction handbook (`EXPERIMENTS.md`).
 
 use crate::{
-    artifacts, fig11_voice_counts, fig12_data_counts, write_output, BaselineWrite, BenchProfile,
+    artifacts, fig11_voice_counts, fig12_data_counts, write_output_to, BaselineWrite, BenchProfile,
 };
 use charisma::metrics::capacity_at_threshold;
 use charisma::radio::SpeedProfile;
@@ -42,11 +42,11 @@ pub enum EntryKind {
     },
     /// A bespoke artifact generator (no sweep shape).
     Custom {
-        /// Runs the generator; returns the files it wrote.  The
-        /// [`BaselineWrite`] context tells it whether committed baseline
-        /// files may be refreshed (explicit run) or must be routed to
-        /// sidecars (bulk `run all`).
-        run: fn(BenchProfile, BaselineWrite) -> Vec<PathBuf>,
+        /// Runs the generator, writing into the given results directory;
+        /// returns the files it wrote.  The [`BaselineWrite`] context tells
+        /// it whether committed baseline files may be refreshed (explicit
+        /// run) or must be routed to sidecars (bulk `run all`).
+        run: fn(BenchProfile, BaselineWrite, &Path) -> Vec<PathBuf>,
     },
 }
 
@@ -845,7 +845,7 @@ fn render_city_scale(run: &CampaignRun) -> Vec<Artifact> {
     println!("A 127-cell hexagonal city (6 complete rings of 150 m cells) stepped by the");
     println!("sharded frame loop on 4 worker threads.  Cells advance in parallel inside each");
     println!("frame; handoffs travel through per-frame mailboxes merged in cell-id order, so");
-    println!("the CSVs below are byte-identical to a single-threaded round-robin run.");
+    println!("the CSVs below are byte-identical to a single-threaded run.");
     vec![
         uniform_csv(run, "city_scale.csv"),
         handoff_csv(run, "city_scale_handoff.csv"),
@@ -1207,12 +1207,13 @@ pub fn build_campaign(name: &str, profile: BenchProfile) -> Option<Campaign> {
 }
 
 /// Runs one entry: executes its campaign (or bespoke generator), prints its
-/// tables and writes its artifacts under `results/`.
+/// tables and writes its artifacts under `results_dir`.
 pub fn run_entry(
     name: &str,
     profile: BenchProfile,
     threads: usize,
     baseline: BaselineWrite,
+    results_dir: &Path,
 ) -> Result<EntryReport, String> {
     let entry = find(name).ok_or_else(|| {
         format!(
@@ -1237,7 +1238,8 @@ pub fn run_entry(
             let mut outputs = Vec::new();
             for artifact in artifacts {
                 outputs.push(
-                    write_output(artifact.file, &artifact.contents).map_err(|e| e.to_string())?,
+                    write_output_to(results_dir, artifact.file, &artifact.contents)
+                        .map_err(|e| e.to_string())?,
                 );
             }
             let replications: u64 = run.rows.iter().map(|r| r.reps()).sum();
@@ -1258,7 +1260,7 @@ pub fn run_entry(
             })
         }
         EntryKind::Custom { run } => {
-            let outputs = run(profile, baseline);
+            let outputs = run(profile, baseline, results_dir);
             Ok(EntryReport {
                 name: entry.name,
                 points: 0,
@@ -1581,7 +1583,9 @@ mod tests {
 
     #[test]
     fn unknown_entries_error_with_the_valid_names() {
-        let e = run_entry("fig99", BenchProfile::Quick, 1, BaselineWrite::Allowed).unwrap_err();
+        let dir = Path::new("unused");
+        let e =
+            run_entry("fig99", BenchProfile::Quick, 1, BaselineWrite::Allowed, dir).unwrap_err();
         assert!(e.contains("fig99"));
         assert!(e.contains("fig11"), "error should list the registry: {e}");
     }

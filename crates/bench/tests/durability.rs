@@ -16,9 +16,9 @@
 //! process-global and these tests run concurrently.
 
 use charisma_bench::checkpoint::{
-    checkpoint_path, run_and_record_durable, DurableError, DurableOptions,
+    checkpoint_path, run_and_record_durable, run_entry_durable, DurableError, DurableOptions,
 };
-use charisma_bench::{BaselineWrite, BenchProfile};
+use charisma_bench::{output_dir, BaselineWrite, BenchProfile};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -342,4 +342,58 @@ fn torn_final_record_is_dropped_and_the_resume_still_matches() {
         );
     }
     fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file under `dir` with its bytes, sorted by path (empty when `dir`
+/// does not exist).
+fn tree_snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        let Ok(entries) = fs::read_dir(&d) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = fs::read(&path).unwrap();
+                files.push((path, bytes));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn custom_entries_write_only_into_the_results_dir() {
+    // The bespoke generators (Table 1 at a non-standard profile rewrites a
+    // committed baseline) must follow `--results-dir` like the sweeps do.
+    let default_dir = output_dir();
+    let before = tree_snapshot(&default_dir);
+    let dir = scratch("custom-entries");
+    let opts = DurableOptions::new(&dir);
+    for (entry, file) in [
+        ("table1", "table1_parameters.csv"),
+        ("fig5_fading", "fig5_fading.csv"),
+        ("fig7_abicm", "fig7_abicm.csv"),
+    ] {
+        let report =
+            run_entry_durable(entry, BenchProfile::Quick, 1, BaselineWrite::Sidecar, &opts)
+                .unwrap_or_else(|e| panic!("{entry}: {e}"));
+        assert_eq!(report.outputs, vec![dir.join(file)], "{entry}");
+        assert!(fs::metadata(dir.join(file)).unwrap().len() > 0, "{entry}");
+    }
+    let table1 = fs::read_to_string(dir.join("table1_parameters.csv")).unwrap();
+    assert!(table1.starts_with("parameter,value\n"), "{table1}");
+    assert_eq!(
+        tree_snapshot(&default_dir),
+        before,
+        "a run with an explicit results dir changed {}",
+        default_dir.display()
+    );
+    fs::remove_dir_all(&dir).ok();
+    fs::remove_dir(&default_dir).ok(); // only succeeds if `output_dir` just made it
 }

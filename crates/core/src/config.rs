@@ -354,11 +354,12 @@ pub struct SystemConfig {
     pub handoff: HandoffConfig,
     /// Distance-based path loss feeding each terminal's mean SNR.
     pub path_loss: PathLossConfig,
-    /// Intra-point worker threads for the sharded frame loop.  Purely an
-    /// execution hint: `0` or `1` selects the single-threaded round-robin
-    /// path, and any value produces **byte-identical** reports (the
-    /// determinism suite pins this), so it never changes what a run means —
-    /// only how fast a city-scale layout steps its cells.
+    /// Threads stepping the cells of one run, the calling thread included
+    /// (`0` and `1` both mean the caller alone; more threads than cells are
+    /// capped to one per cell).  Purely an execution hint: any value
+    /// produces **byte-identical** reports (the determinism suite pins
+    /// this), so it never changes what a run means — only how fast a
+    /// city-scale layout steps its cells.
     pub threads: u32,
 }
 

@@ -240,9 +240,9 @@ pub struct ScenarioSpec {
     pub layout: Layout,
     /// Handoff admission behaviour (multi-cell specs only).
     pub handoff: HandoffConfig,
-    /// Intra-point worker threads for the sharded system frame loop
-    /// (multi-cell specs only; 0 or 1 selects the round-robin path).  An
-    /// execution hint: reports are byte-identical at any value.
+    /// Threads stepping the cells of each system run (multi-cell specs
+    /// only; 0 or 1 both mean one thread, see [`SystemConfig::threads`]).
+    /// An execution hint: reports are byte-identical at any value.
     pub system_threads: u32,
 }
 

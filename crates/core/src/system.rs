@@ -40,12 +40,24 @@
 //! 4. **MAC step** (parallel per cell): each cell's MAC runs one uplink
 //!    frame over its current membership.
 //!
-//! Both execution paths — the single-threaded round-robin loop and the
-//! sharded loop with [`SystemConfig::threads`] workers — run exactly these
-//! phases.  The parallel phases are order-independent across cells (every
-//! random draw comes from a per-terminal or per-cell stream, every counter
-//! lands in the acting cell's own accumulator) and the serial phases apply
-//! cross-cell effects in deterministic cell-id order, so a run's report is
+//! One frame loop runs these phases at every thread count.  With
+//! [`SystemConfig::threads`] = T, the calling thread is party 0 and T − 1
+//! scoped threads join it; party `w` owns the contiguous block of cells
+//! `[w·n/T, (w+1)·n/T)` for both parallel phases, and party 0 alone runs
+//! the serial phases.  A phase gate (spin, then yield, then park) separates
+//! the phases with two sync points per frame:
+//!
+//! ```text
+//! party 0:   ─┤ drain ├─ roam own ─┤ merge ├─ MAC own ─┤ drain ├─ …
+//! party w>0: ─┤ wait  ├─ roam own ─┤ wait  ├─ MAC own ─┤ wait  ├─ …
+//!             gate                 gate                gate (next frame)
+//! ```
+//!
+//! With one party the gate returns at once and no thread is spawned.  The
+//! parallel phases are order-independent across cells (every random draw
+//! comes from a per-terminal or per-cell stream, every counter lands in the
+//! acting cell's own accumulator) and the serial phases apply cross-cell
+//! effects in deterministic cell-id order, so a run's report is
 //! **byte-identical at any thread count**; the determinism suite pins this.
 //!
 //! Terminal ids are global (`cell · per_cell + local`), so a terminal keeps
@@ -70,7 +82,9 @@ use charisma_metrics::{CellCounters, HandoffStats, RunMetrics, RunningStat};
 use charisma_radio::{Bounds, PathLossConfig, Position, RandomWaypoint};
 use charisma_traffic::{TerminalClass, TerminalId};
 use std::collections::VecDeque;
-use std::sync::Barrier;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// The cell centers of a layout, in cell-index order.
 ///
@@ -509,18 +523,14 @@ impl SystemWorld {
     /// Executes the run and produces the system-level report: every cell's
     /// counters merged, plus the handoff statistics and per-cell breakdown.
     ///
-    /// With [`SystemConfig::threads`] ≤ 1 the frame phases run round-robin
-    /// on the calling thread; otherwise cells are dealt to that many worker
-    /// threads.  Both paths execute identical phase code in an identical
-    /// order of effect, so the report — and every CSV rendered from it — is
-    /// byte-identical regardless of the thread count.
+    /// The frames run on [`SystemConfig::threads`] threads (at least one, at
+    /// most one per cell), the calling thread included: it steps its own
+    /// block of cells and runs every serial phase while the other threads
+    /// wait at the phase gate (see the module docs).  Every thread count
+    /// executes the same phase code in the same order of effect, so the
+    /// report — and every CSV rendered from it — is byte-identical
+    /// regardless of the thread count.
     pub fn run(&mut self) -> RunReport {
-        let total = self.config.total_frames();
-        let warmup = self.config.warmup_frames;
-        let drop_grace = self
-            .config
-            .clock()
-            .frames_per(self.config.voice_source.deadline);
         let n_cells = self.cells.len();
         let threads = (self.system.threads.max(1) as usize).min(n_cells);
 
@@ -542,6 +552,12 @@ impl SystemWorld {
                 locator: &self.locator,
                 bounds: &self.bounds,
                 dt_secs: self.config.frame.frame_duration.as_secs_f64(),
+                total: self.config.total_frames(),
+                warmup: self.config.warmup_frames,
+                drop_grace: self
+                    .config
+                    .clock()
+                    .frames_per(self.config.voice_source.deadline),
             };
             let mut serial = SerialState {
                 queues: &mut self.queues,
@@ -552,33 +568,7 @@ impl SystemWorld {
                 queue_len: &mut self.queue_len,
             };
 
-            if threads <= 1 {
-                for frame in 0..total {
-                    let measuring = frame >= warmup;
-                    let measuring_drops = frame >= warmup + drop_grace;
-                    // SAFETY: a single thread executes every phase, so each
-                    // one has exclusive access to the whole grid.
-                    unsafe {
-                        drain_admission_queues(&grid, &mut serial, &ctx, measuring_drops);
-                        for c in 0..n_cells {
-                            roam_phase(&grid, &ctx, c, frame, measuring, measuring_drops);
-                        }
-                        merge_mailboxes(
-                            &grid,
-                            &mut serial,
-                            &ctx,
-                            frame,
-                            measuring,
-                            measuring_drops,
-                        );
-                        for c in 0..n_cells {
-                            mac_phase(&grid, &ctx, c, frame, measuring);
-                        }
-                    }
-                }
-            } else {
-                run_sharded(&grid, &mut serial, &ctx, threads, total, warmup, drop_grace);
-            }
+            run_frames(&grid, &mut serial, &ctx, threads);
         }
 
         // Population conservation, checked in every build: a lost or
@@ -639,10 +629,23 @@ struct FrameCtx<'a> {
     locator: &'a CellLocator,
     bounds: &'a Bounds,
     dt_secs: f64,
+    /// Frames to run, of which the first `warmup` are not measured.
+    total: u64,
+    warmup: u64,
+    /// Frames after `warmup` before deadline drops count (a packet dropped
+    /// then was generated during the warm-up).
+    drop_grace: u64,
+}
+
+impl FrameCtx<'_> {
+    /// `(measuring, measuring_drops)` for `frame`.
+    fn measuring(&self, frame: u64) -> (bool, bool) {
+        (frame >= self.warmup, frame >= self.warmup + self.drop_grace)
+    }
 }
 
 /// The cross-cell state only the serial phases (queue drain, merge) touch.
-/// Worker threads never see it, so it needs no synchronisation at all.
+/// Only party 0 holds it, so it needs no synchronisation at all.
 struct SerialState<'a> {
     queues: &'a mut [VecDeque<TerminalId>],
     handoff: &'a mut HandoffStats,
@@ -663,11 +666,13 @@ struct SerialState<'a> {
 /// demand.  Soundness rests on two invariants, both enforced by the frame
 /// structure:
 ///
-/// * **spatial**: during a parallel phase, worker `w` only touches cells
-///   `c ≡ w (mod threads)` and their members, and the cell membership is a
-///   partition of the terminals — disjoint elements, no overlap;
-/// * **temporal**: the serial phases run strictly between barriers while
-///   every worker is parked, so they have the whole grid to themselves.
+/// * **spatial**: during a parallel phase, party `w` only touches its own
+///   block of cells ([`party_cells`]) and their members; the blocks are
+///   disjoint and the cell membership is a partition of the terminals —
+///   disjoint elements, no overlap;
+/// * **temporal**: a serial phase runs inside [`PhaseGate::lead`], after
+///   every other party has arrived at the gate and before any is released,
+///   so it has the whole grid to itself.
 struct ShardGrid {
     cells: *mut Cell,
     macs: *mut Box<dyn UplinkMac>,
@@ -1045,70 +1050,223 @@ unsafe fn mac_phase(grid: &ShardGrid, ctx: &FrameCtx<'_>, c: usize, frame: u64, 
     );
 }
 
-/// The sharded frame loop: `threads` workers own cell subsets (dealt
-/// round-robin by id) and execute the parallel phases; the coordinating
-/// thread executes the serial phases in the windows between barriers.
+/// Busy-wait rounds a gate wait spends before it starts yielding: a few
+/// microseconds, which catches a peer running on another core that is
+/// about to arrive without a system call.
+const GATE_SPINS: u32 = 256;
+
+/// `yield_now` rounds after the spin, before the wait parks.  When more
+/// parties than CPUs share the host, yielding hands the CPU to the party
+/// being waited for; a spin would burn the time slice it needs.
+const GATE_YIELDS: u32 = 32;
+
+/// The phase gate of the frame loop: one leader and `followers` other
+/// parties meet at each sync point, and the leader runs the serial phase
+/// while everyone else waits.
 ///
-/// Four barrier waits bound each frame:
+/// A round is one [`PhaseGate::lead`] and one [`PhaseGate::follow`] per
+/// follower.  Every wait spins ([`GATE_SPINS`]), then yields
+/// ([`GATE_YIELDS`]), then parks on a condvar, so no wait is blind for long
+/// and an oversubscribed host still makes progress (the "no long time blind
+/// wait" rule of cpp-ipc's spin-then-semaphore waits).  Releases take the
+/// mutex only to read the sleeper count and make no system call when
+/// nobody is parked.
+///
+/// Ordering: a follower's arrival (`fetch_add`, AcqRel) releases everything
+/// it wrote in the parallel phase; the leader's Acquire load of the full
+/// count synchronises with every arrival (the increments form one release
+/// sequence); the leader's generation bump (Release) then carries those
+/// writes and the serial phase's own to each follower's Acquire load of the
+/// new generation.  A sync point is therefore a full barrier for the data
+/// the phases share.
+///
+/// If any party panics while holding a [`PhaseGate::guard`], the gate is
+/// poisoned and every wait panics instead of blocking for a peer that will
+/// never arrive.
+struct PhaseGate {
+    followers: usize,
+    /// Followers that have arrived in the current round.
+    arrived: AtomicUsize,
+    /// Completed rounds; followers wait for it to change.
+    generation: AtomicUsize,
+    poisoned: AtomicBool,
+    /// Parties parked on `wake`.
+    sleepers: Mutex<usize>,
+    wake: Condvar,
+}
+
+impl PhaseGate {
+    /// A gate for `parties` threads (the leader included, at least one).
+    fn new(parties: usize) -> Self {
+        PhaseGate {
+            followers: parties.saturating_sub(1),
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            sleepers: Mutex::new(0),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Arrives at the sync point and waits until the leader has run the
+    /// serial phase.
+    fn follow(&self) {
+        // The generation cannot move before this arrival: the leader waits
+        // for every follower first.
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.followers {
+            self.release_sleepers(); // the leader may be parked
+        }
+        self.wait_until(|| self.generation.load(Ordering::Acquire) != generation);
+    }
+
+    /// Waits until every follower has arrived, runs `serial` with the other
+    /// parties held at the gate, then releases them.
+    fn lead(&self, serial: impl FnOnce()) {
+        self.wait_until(|| self.arrived.load(Ordering::Acquire) == self.followers);
+        // Followers touch `arrived` again only after the bump below.
+        self.arrived.store(0, Ordering::Relaxed);
+        serial();
+        self.generation.fetch_add(1, Ordering::Release);
+        self.release_sleepers();
+    }
+
+    /// [`PhaseGate::lead`] running `phase` for the party holding the serial
+    /// state, [`PhaseGate::follow`] for every other party.
+    fn sync<S>(&self, serial: Option<&mut S>, phase: impl FnOnce(&mut S)) {
+        match serial {
+            Some(state) => self.lead(|| phase(state)),
+            None => self.follow(),
+        }
+    }
+
+    /// Spins, then yields, then parks until `ready` holds.
+    fn wait_until(&self, ready: impl Fn() -> bool) {
+        let done = || ready() || self.poisoned.load(Ordering::Acquire);
+        let mut round = 0;
+        while !done() {
+            if round < GATE_SPINS {
+                std::hint::spin_loop();
+            } else if round < GATE_SPINS + GATE_YIELDS {
+                std::thread::yield_now();
+            } else {
+                let mut sleepers = self.sleepers.lock().expect("phase gate mutex poisoned");
+                *sleepers += 1;
+                while !done() {
+                    sleepers = self.wake.wait(sleepers).expect("phase gate mutex poisoned");
+                }
+                *sleepers -= 1;
+            }
+            round += 1;
+        }
+        assert!(
+            !self.poisoned.load(Ordering::Relaxed),
+            "a thread of the frame loop panicked"
+        );
+    }
+
+    /// Wakes every parked party, if there is one.  A parked party checked
+    /// its condition while holding the mutex, so taking it here after the
+    /// state change cannot miss a sleeper.
+    fn release_sleepers(&self) {
+        let sleepers = self.sleepers.lock().unwrap_or_else(PoisonError::into_inner);
+        if *sleepers > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// A guard that poisons the gate if its thread unwinds.
+    fn guard(&self) -> GateGuard<'_> {
+        GateGuard(self)
+    }
+}
+
+/// Poisons its [`PhaseGate`] when dropped during a panic, so the other
+/// parties fail instead of waiting forever.
+struct GateGuard<'a>(&'a PhaseGate);
+
+impl Drop for GateGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
+            self.0.release_sleepers();
+        }
+    }
+}
+
+/// The contiguous block of cells party `w` of `parties` steps in the
+/// parallel phases: `[w·n/T, (w+1)·n/T)`.  Per-cell state is indexed by
+/// cell id, so a block is contiguous memory and two parties can share a
+/// cache line only at a block edge.
+fn party_cells(w: usize, parties: usize, n_cells: usize) -> Range<usize> {
+    w * n_cells / parties..(w + 1) * n_cells / parties
+}
+
+/// The frame loop on `parties` threads (1 ≤ `parties` ≤ cells): the caller
+/// is party 0 and runs the serial phases; `parties − 1` scoped threads run
+/// the others.  Every party executes [`run_party`].
+fn run_frames(grid: &ShardGrid, serial: &mut SerialState<'_>, ctx: &FrameCtx<'_>, parties: usize) {
+    let gate = PhaseGate::new(parties);
+    std::thread::scope(|scope| {
+        for w in 1..parties {
+            let cells = party_cells(w, parties, grid.n_cells);
+            let gate = &gate;
+            scope.spawn(move || run_party(grid, ctx, gate, cells, None));
+        }
+        run_party(
+            grid,
+            ctx,
+            &gate,
+            party_cells(0, parties, grid.n_cells),
+            Some(serial),
+        );
+    });
+}
+
+/// One party's frame loop over its block of `cells`.  The party holding
+/// `serial` leads each sync point and runs the serial phase there:
 ///
 /// ```text
-/// coordinator:  drain ──┐            ┌── merge ──┐           ┌── (next frame)
-///                       ▼            │           ▼           │
-/// barrier:           [w1]───[w2]─────┘        [w3]───[w4]────┘
-///                       ▲            ▲           ▲           ▲
-/// workers:              └── roam ────┘           └── MACs ───┘
+/// lead(drain) → roam own cells → lead(merge) → MAC own cells → next frame
 /// ```
 ///
-/// Every thread derives the frame flags from its own loop counter, so the
-/// only shared mutable state is the grid itself under the documented phase
-/// discipline.
-fn run_sharded(
+/// and one final empty round after the last frame, so every MAC phase is
+/// published by the gate before the caller reads the results.
+fn run_party(
     grid: &ShardGrid,
-    serial: &mut SerialState<'_>,
     ctx: &FrameCtx<'_>,
-    threads: usize,
-    total: u64,
-    warmup: u64,
-    drop_grace: u64,
+    gate: &PhaseGate,
+    cells: Range<usize>,
+    mut serial: Option<&mut SerialState<'_>>,
 ) {
-    let barrier = Barrier::new(threads + 1);
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let barrier = &barrier;
-            scope.spawn(move || {
-                for frame in 0..total {
-                    let measuring = frame >= warmup;
-                    let measuring_drops = frame >= warmup + drop_grace;
-                    barrier.wait(); // queue drain done
-                    for c in (w..grid.n_cells).step_by(threads) {
-                        // SAFETY: worker `w` exclusively owns every cell
-                        // `c ≡ w (mod threads)`; memberships are disjoint.
-                        unsafe { roam_phase(grid, ctx, c, frame, measuring, measuring_drops) };
-                    }
-                    barrier.wait(); // roam done everywhere
-                    barrier.wait(); // merge done
-                    for c in (w..grid.n_cells).step_by(threads) {
-                        // SAFETY: as above; the merge finished re-shuffling
-                        // memberships before the barrier released us.
-                        unsafe { mac_phase(grid, ctx, c, frame, measuring) };
-                    }
-                    barrier.wait(); // frame complete
-                }
+    let _guard = gate.guard();
+    for frame in 0..ctx.total {
+        let (measuring, measuring_drops) = ctx.measuring(frame);
+        // SAFETY: the grid's two invariants hold for every call below.
+        // Spatial: this party steps only its own block of cells, the
+        // blocks of distinct parties are disjoint, and the memberships
+        // partition the terminals.  Temporal: the serial phases run inside
+        // `lead`, after every follower has finished its parallel phase and
+        // before any is released into the next; the gate's Release/Acquire
+        // chain (see `PhaseGate`) makes each phase's writes visible to the
+        // next, and the merge has re-shuffled memberships before any MAC
+        // phase starts.
+        unsafe {
+            gate.sync(serial.as_deref_mut(), |s| {
+                drain_admission_queues(grid, s, ctx, measuring_drops)
             });
+            for c in cells.clone() {
+                roam_phase(grid, ctx, c, frame, measuring, measuring_drops);
+            }
+            gate.sync(serial.as_deref_mut(), |s| {
+                merge_mailboxes(grid, s, ctx, frame, measuring, measuring_drops)
+            });
+            for c in cells.clone() {
+                mac_phase(grid, ctx, c, frame, measuring);
+            }
         }
-        for frame in 0..total {
-            let measuring = frame >= warmup;
-            let measuring_drops = frame >= warmup + drop_grace;
-            // SAFETY: every worker is parked on a barrier while the serial
-            // phases run, so they have exclusive access to the grid.
-            unsafe { drain_admission_queues(grid, serial, ctx, measuring_drops) };
-            barrier.wait(); // release the workers into the roam phase
-            barrier.wait(); // wait for every mailbox
-            unsafe { merge_mailboxes(grid, serial, ctx, frame, measuring, measuring_drops) };
-            barrier.wait(); // release the workers into the MAC phase
-            barrier.wait(); // frame complete
-        }
-    });
+    }
+    gate.sync(serial, |_| {});
 }
 
 /// The default path-loss profile reproduces the single-cell mean SNR when
@@ -1375,12 +1533,13 @@ mod tests {
     fn sharded_run_matches_round_robin_exactly() {
         // The tentpole property at the unit level: the full RunReport —
         // every counter, every per-cell Welford statistic — is identical
-        // between the round-robin path and the sharded path at several
-        // thread counts, including a count that does not divide the cells.
+        // between one thread and several, including counts that do not
+        // divide the cells, one thread per cell, and more threads than
+        // cells (capped to one per cell).
         let mut cfg = small_config();
         cfg.system = Some(roaming_system(7));
         let reference = Scenario::new(cfg.clone()).run(ProtocolKind::Charisma);
-        for threads in [1u32, 2, 3, 4] {
+        for threads in [1u32, 2, 3, 4, 7, 9] {
             let mut sharded_cfg = cfg.clone();
             let mut system = sharded_cfg.system.unwrap();
             system.threads = threads;
@@ -1388,7 +1547,7 @@ mod tests {
             let sharded = Scenario::new(sharded_cfg).run(ProtocolKind::Charisma);
             assert_eq!(
                 sharded, reference,
-                "threads={threads}: sharded report diverged from round-robin"
+                "threads={threads}: report diverged from the one-thread run"
             );
             assert_eq!(
                 format!("{sharded:?}"),
@@ -1398,6 +1557,123 @@ mod tests {
         }
         // The runs genuinely exercised the handoff machinery.
         assert!(reference.metrics.handoff.successes > 0);
+    }
+
+    #[test]
+    fn party_blocks_partition_the_cells_contiguously() {
+        for n in 1..=20 {
+            for parties in 1..=n {
+                let blocks: Vec<_> = (0..parties).map(|w| party_cells(w, parties, n)).collect();
+                assert_eq!(blocks[0].start, 0);
+                assert_eq!(blocks[parties - 1].end, n);
+                for pair in blocks.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start);
+                }
+                // Balanced: block sizes differ by at most one, none empty.
+                let sizes: Vec<_> = blocks.iter().map(ExactSizeIterator::len).collect();
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(
+                    *lo >= 1 && hi - lo <= 1,
+                    "n={n} parties={parties}: {sizes:?}"
+                );
+            }
+        }
+    }
+
+    /// Runs `rounds` gate rounds on `parties` threads.  In each round every
+    /// party bumps its own counter, then meets the others at the gate; the
+    /// leader's serial phase checks that every counter is up to date (the
+    /// parallel phase is over and its writes are visible) and publishes the
+    /// round, which every follower checks once released.  `follower_delay`
+    /// and `serial_delay` sleep in the given rounds, forcing the other side
+    /// to exhaust its spin and yield budget and park.  Returns the number
+    /// of serial phases run.
+    fn drive_gate(
+        parties: usize,
+        rounds: usize,
+        follower_delay: impl Fn(usize) -> Option<std::time::Duration> + Sync,
+        serial_delay: impl Fn(usize) -> Option<std::time::Duration>,
+    ) -> usize {
+        use std::sync::atomic::AtomicU64;
+        let gate = PhaseGate::new(parties);
+        // Relaxed on purpose: only the gate orders these accesses.
+        let counters: Vec<AtomicU64> = (0..parties).map(|_| AtomicU64::new(0)).collect();
+        let published = AtomicU64::new(0);
+        let bump = |c: &AtomicU64| c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        let mut serial_runs = 0;
+        std::thread::scope(|scope| {
+            for p in 1..parties {
+                let (gate, counters, published) = (&gate, &counters, &published);
+                let follower_delay = &follower_delay;
+                scope.spawn(move || {
+                    let _guard = gate.guard();
+                    for round in 0..rounds {
+                        bump(&counters[p]);
+                        if let Some(d) = follower_delay(round) {
+                            std::thread::sleep(d);
+                        }
+                        gate.follow();
+                        assert_eq!(published.load(Ordering::Relaxed), round as u64 + 1);
+                    }
+                });
+            }
+            let _guard = gate.guard();
+            for round in 0..rounds {
+                bump(&counters[0]);
+                gate.lead(|| {
+                    for (p, c) in counters.iter().enumerate() {
+                        let seen = c.load(Ordering::Relaxed);
+                        assert_eq!(seen, round as u64 + 1, "party {p} in round {round}");
+                    }
+                    if let Some(d) = serial_delay(round) {
+                        std::thread::sleep(d);
+                    }
+                    published.store(round as u64 + 1, Ordering::Relaxed);
+                    serial_runs += 1;
+                });
+            }
+        });
+        for c in &counters {
+            assert_eq!(c.load(Ordering::Relaxed), rounds as u64);
+        }
+        serial_runs
+    }
+
+    #[test]
+    fn phase_gate_excludes_and_publishes_each_phase() {
+        for parties in 1..=4 {
+            assert_eq!(drive_gate(parties, 3_000, |_| None, |_| None), 3_000);
+        }
+    }
+
+    #[test]
+    fn phase_gate_survives_parking_on_both_sides() {
+        let nap = |round: usize| (round % 10 == 3).then(|| std::time::Duration::from_millis(5));
+        // A late follower: the leader runs out of spins and yields and
+        // parks until the last arrival wakes it.
+        assert_eq!(drive_gate(2, 40, nap, |_| None), 40);
+        assert_eq!(drive_gate(3, 40, nap, |_| None), 40);
+        // A slow serial phase: the followers park until the release.
+        assert_eq!(drive_gate(2, 40, |_| None, nap), 40);
+        assert_eq!(drive_gate(4, 40, |_| None, nap), 40);
+    }
+
+    #[test]
+    fn a_panicking_party_fails_the_gate_instead_of_hanging_it() {
+        let gate = PhaseGate::new(2);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _guard = gate.guard();
+                    gate.follow();
+                    panic!("follower fails in its parallel phase");
+                });
+                let _guard = gate.guard();
+                gate.lead(|| {});
+                gate.lead(|| {}); // the follower never arrives
+            });
+        }));
+        assert!(outcome.is_err());
     }
 
     #[test]

@@ -251,9 +251,9 @@ fn sharded_multicell_campaign_is_byte_identical_at_any_thread_count() {
     // The tentpole acceptance property: the campaign CSV bytes of a
     // multi-cell entry are a pure function of the campaign, regardless of
     // how many worker threads step the cells inside each sweep point.
-    // Thread count 0 is the single-threaded round-robin path; 2 and 4
-    // exercise the sharded path with cells dealt across workers (4 does not
-    // divide 7, so the deal is uneven too).
+    // Thread count 0 runs every cell on the calling thread; 2 and 4 deal
+    // the cells across threads in contiguous blocks (4 does not divide 7,
+    // so the deal is uneven too).
     let reference = with_system_threads(mini_multicell(), 0)
         .run(mini_budget(), 1)
         .unwrap()
@@ -294,7 +294,7 @@ fn sharded_handoff_stress_campaign_is_byte_identical_at_any_thread_count() {
 #[test]
 fn sharded_city_scale_campaign_is_byte_identical_at_any_thread_count() {
     // The 127-cell city entry ships with system_threads = 4 in the
-    // registry; its CSV must match the round-robin bytes exactly.
+    // registry; its CSV must match the single-thread bytes exactly.
     let budget = FrameBudget {
         warmup: 60,
         measured: 240,
