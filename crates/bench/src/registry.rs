@@ -10,9 +10,7 @@
 //! builds the provenance manifest (`results/MANIFEST.json`) and the
 //! generated section of the reproduction handbook (`EXPERIMENTS.md`).
 
-use crate::{
-    artifacts, fig11_voice_counts, fig12_data_counts, write_output_to, BaselineWrite, BenchProfile,
-};
+use crate::{artifacts, fig11_voice_counts, fig12_data_counts, BaselineWrite, BenchProfile};
 use charisma::metrics::capacity_at_threshold;
 use charisma::radio::SpeedProfile;
 use charisma::spec::{Axis, DurationSpec, QueueToggle, RampSpec, ScenarioSpec};
@@ -21,7 +19,6 @@ use charisma::{
 };
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// A file produced by rendering a campaign run.
 pub struct Artifact {
@@ -1206,12 +1203,13 @@ pub fn build_campaign(name: &str, profile: BenchProfile) -> Option<Campaign> {
     }
 }
 
-/// Runs one entry: executes its campaign (or bespoke generator), prints its
-/// tables and writes its artifacts under `results_dir`.
+/// Runs one bespoke (`EntryKind::Custom`) entry: prints its banner and
+/// runs its generator, which writes its artifacts under `results_dir`.
+/// Sweep entries run through `checkpoint::run_entry_durable`, which owns
+/// their campaign, checkpoint and rendering; naming one here is an error.
 pub fn run_entry(
     name: &str,
     profile: BenchProfile,
-    threads: usize,
     baseline: BaselineWrite,
     results_dir: &Path,
 ) -> Result<EntryReport, String> {
@@ -1221,56 +1219,26 @@ pub fn run_entry(
             names().join(", ")
         )
     })?;
+    let EntryKind::Custom { run } = entry.kind else {
+        return Err(format!(
+            "\"{name}\" is a sweep entry; run it through checkpoint::run_entry_durable"
+        ));
+    };
     println!(
         "=== {} — {} [{} profile] ===",
         entry.name,
         entry.title,
         profile.label()
     );
-    match entry.kind {
-        EntryKind::Sweep { build, render } => {
-            let campaign = build(profile);
-            let started = Instant::now();
-            let run = campaign
-                .run_replicated(profile.budget(), profile.replications(), threads)
-                .map_err(|e| e.to_string())?;
-            let artifacts = render(&run);
-            let mut outputs = Vec::new();
-            for artifact in artifacts {
-                outputs.push(
-                    write_output_to(results_dir, artifact.file, &artifact.contents)
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-            let replications: u64 = run.rows.iter().map(|r| r.reps()).sum();
-            println!(
-                "{}: {} sweep points ({} replications) in {:.1} s",
-                entry.name,
-                run.rows.len(),
-                replications,
-                started.elapsed().as_secs_f64()
-            );
-            Ok(EntryReport {
-                name: entry.name,
-                points: run.rows.len(),
-                replications,
-                seeds: campaign.seeds(),
-                outputs,
-                campaign_json: Some(campaign.to_json()),
-            })
-        }
-        EntryKind::Custom { run } => {
-            let outputs = run(profile, baseline, results_dir);
-            Ok(EntryReport {
-                name: entry.name,
-                points: 0,
-                replications: 0,
-                seeds: Vec::new(),
-                outputs,
-                campaign_json: None,
-            })
-        }
-    }
+    let outputs = run(profile, baseline, results_dir);
+    Ok(EntryReport {
+        name: entry.name,
+        points: 0,
+        replications: 0,
+        seeds: Vec::new(),
+        outputs,
+        campaign_json: None,
+    })
 }
 
 /// The current git revision (for provenance), or `"unknown"` outside a git
@@ -1584,8 +1552,7 @@ mod tests {
     #[test]
     fn unknown_entries_error_with_the_valid_names() {
         let dir = Path::new("unused");
-        let e =
-            run_entry("fig99", BenchProfile::Quick, 1, BaselineWrite::Allowed, dir).unwrap_err();
+        let e = run_entry("fig99", BenchProfile::Quick, BaselineWrite::Allowed, dir).unwrap_err();
         assert!(e.contains("fig99"));
         assert!(e.contains("fig11"), "error should list the registry: {e}");
     }

@@ -22,7 +22,8 @@
 //! | `voice_buffer`      | `VoiceBuffer`                | traffic step, MAC serving  |
 //! | `data_source`       | `Option<DataSource>`         | traffic step               |
 //! | `data_buffer`       | `DataBuffer`                 | traffic step, MAC serving  |
-//! | `mean_snr_db`       | `f64`                        | mobility / path-loss       |
+//! | `link`              | `f64`                        | push, roam, migrate        |
+//! | `shadow_db`         | `f64`                        | push, migrate              |
 //! | `short`             | `ShortTermFading`            | channel advance            |
 //! | `long`              | `LongTermShadowing`          | channel advance            |
 //! | `chan_rng`          | `Xoshiro256StarStar`         | channel advance            |
@@ -30,6 +31,16 @@
 //! | `snr_cache`         | `Option<(SimTime, f64)>`     | SNR sampling               |
 //! | `contention_rng`    | `Xoshiro256StarStar`         | contention draws           |
 //! | `phy_rng`           | `Xoshiro256StarStar`         | packet-error draws         |
+//!
+//! A single-cell population has no path-loss profile: its `link` holds the
+//! constant mean SNR in dB and `shadow_db` is zero and unread.  A system
+//! population stores its [`PathLossConfig`] once on the store, `link` holds
+//! the terminal's distance in metres to its serving base station, and
+//! `shadow_db` the site-shadowing offset of that link.  The mean SNR
+//! `path_loss.mean_snr_db(link) + shadow_db` is then evaluated only when the
+//! channel is sampled: per frame the base station samples the channels of a
+//! few terminals (request pilots, CSI polls, transmissions), while the roam
+//! phase moves every terminal.
 //!
 //! # Determinism
 //!
@@ -54,10 +65,14 @@
 //! directly.  The traffic step itself (`step_traffic`) is one function
 //! behind both frame entries, the whole-population
 //! [`TerminalColumns::begin_frame_all`] and the roam phase's per-terminal
-//! `ColumnsView::begin_frame`.
+//! `ColumnsView::begin_frame`.  The link columns have one writer per
+//! population kind: `push` for a single-cell store, and for a system
+//! population `push_at` at construction, `ColumnsView::set_serving_distance`
+//! in the roam phase and `ColumnsView::set_link` when a terminal migrates.
+//! `ColumnsView::snr_db` is their only reader.
 
 use charisma_des::{FrameClock, SimTime, Xoshiro256StarStar};
-use charisma_radio::{ChannelMode, LongTermShadowing, ShortTermFading};
+use charisma_radio::{ChannelMode, LongTermShadowing, PathLossConfig, ShortTermFading};
 use charisma_traffic::{
     buffer::VoicePacket, DataBuffer, DataSource, TerminalClass, VoiceBuffer, VoiceSource,
 };
@@ -86,6 +101,9 @@ pub struct TrafficTotals {
 pub struct TerminalColumns {
     clock: FrameClock,
     channel_mode: ChannelMode,
+    /// The system layer's path-loss profile; `None` for a single-cell
+    /// population (see the module docs for what `link` holds in each case).
+    path_loss: Option<PathLossConfig>,
     class: Vec<TerminalClass>,
     active_from_frame: Vec<u64>,
     in_talkspurt: Vec<bool>,
@@ -103,7 +121,8 @@ pub struct TerminalColumns {
     voice_buffer: Vec<VoiceBuffer>,
     data_source: Vec<Option<DataSource>>,
     data_buffer: Vec<DataBuffer>,
-    mean_snr_db: Vec<f64>,
+    link: Vec<f64>,
+    shadow_db: Vec<f64>,
     short: Vec<ShortTermFading>,
     long: Vec<LongTermShadowing>,
     chan_rng: Vec<Xoshiro256StarStar>,
@@ -122,9 +141,30 @@ impl TerminalColumns {
 
     /// Like [`TerminalColumns::new`] with pre-allocated column capacity.
     pub fn with_capacity(clock: FrameClock, channel_mode: ChannelMode, capacity: usize) -> Self {
+        Self::with_link(clock, channel_mode, capacity, None)
+    }
+
+    /// A system population whose mean SNR follows `path_loss`; terminals
+    /// join it through [`TerminalColumns::push_at`].
+    pub(crate) fn with_path_loss(
+        clock: FrameClock,
+        channel_mode: ChannelMode,
+        capacity: usize,
+        path_loss: PathLossConfig,
+    ) -> Self {
+        Self::with_link(clock, channel_mode, capacity, Some(path_loss))
+    }
+
+    fn with_link(
+        clock: FrameClock,
+        channel_mode: ChannelMode,
+        capacity: usize,
+        path_loss: Option<PathLossConfig>,
+    ) -> Self {
         TerminalColumns {
             clock,
             channel_mode,
+            path_loss,
             class: Vec::with_capacity(capacity),
             active_from_frame: Vec::with_capacity(capacity),
             in_talkspurt: Vec::with_capacity(capacity),
@@ -133,7 +173,8 @@ impl TerminalColumns {
             voice_buffer: Vec::with_capacity(capacity),
             data_source: Vec::with_capacity(capacity),
             data_buffer: Vec::with_capacity(capacity),
-            mean_snr_db: Vec::with_capacity(capacity),
+            link: Vec::with_capacity(capacity),
+            shadow_db: Vec::with_capacity(capacity),
             short: Vec::with_capacity(capacity),
             long: Vec::with_capacity(capacity),
             chan_rng: Vec::with_capacity(capacity),
@@ -144,9 +185,38 @@ impl TerminalColumns {
         }
     }
 
-    /// Decomposes `terminal` into the columns.  Terminals must be pushed in
-    /// ascending index order so slot `i` is `TerminalId(i)`.
+    /// Decomposes `terminal` into the columns of a single-cell store, whose
+    /// mean SNR stays the channel configuration's.  Terminals must be pushed
+    /// in ascending index order so slot `i` is `TerminalId(i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a store with a path-loss profile, which the system layer
+    /// fills with each terminal's serving distance instead.
     pub fn push(&mut self, terminal: Terminal) {
+        assert!(
+            self.path_loss.is_none(),
+            "a path-loss population places each terminal with push_at"
+        );
+        let mean_snr_db = terminal.channel.config().mean_snr_db;
+        self.push_link(terminal, mean_snr_db, 0.0);
+    }
+
+    /// Decomposes `terminal` into the columns of a system population,
+    /// `distance_m` from its serving base station with site shadowing
+    /// `shadow_db` on that link.  Index order as for
+    /// [`TerminalColumns::push`].
+    pub(crate) fn push_at(&mut self, terminal: Terminal, distance_m: f64, shadow_db: f64) {
+        assert!(
+            self.path_loss.is_some(),
+            "push_at needs a population with a path-loss profile"
+        );
+        check_distance(distance_m);
+        check_shadow(shadow_db);
+        self.push_link(terminal, distance_m, shadow_db);
+    }
+
+    fn push_link(&mut self, terminal: Terminal, link: f64, shadow_db: f64) {
         let Terminal {
             id,
             class,
@@ -188,7 +258,8 @@ impl TerminalColumns {
         self.voice_buffer.push(voice_buffer);
         self.data_source.push(data_source);
         self.data_buffer.push(data_buffer);
-        self.mean_snr_db.push(channel.config.mean_snr_db);
+        self.link.push(link);
+        self.shadow_db.push(shadow_db);
         self.short.push(channel.short);
         self.long.push(channel.long);
         self.chan_rng.push(channel.rng);
@@ -263,6 +334,7 @@ impl TerminalColumns {
             len: self.class.len(),
             clock: self.clock,
             channel_mode: self.channel_mode,
+            path_loss: self.path_loss,
             class: self.class.as_mut_ptr(),
             active_from_frame: self.active_from_frame.as_mut_ptr(),
             in_talkspurt: self.in_talkspurt.as_mut_ptr(),
@@ -271,7 +343,8 @@ impl TerminalColumns {
             voice_buffer: self.voice_buffer.as_mut_ptr(),
             data_source: self.data_source.as_mut_ptr(),
             data_buffer: self.data_buffer.as_mut_ptr(),
-            mean_snr_db: self.mean_snr_db.as_mut_ptr(),
+            link: self.link.as_mut_ptr(),
+            shadow_db: self.shadow_db.as_mut_ptr(),
             short: self.short.as_mut_ptr(),
             long: self.long.as_mut_ptr(),
             chan_rng: self.chan_rng.as_mut_ptr(),
@@ -456,6 +529,7 @@ pub(crate) struct ColumnsView {
     len: usize,
     clock: FrameClock,
     channel_mode: ChannelMode,
+    path_loss: Option<PathLossConfig>,
     class: *mut TerminalClass,
     active_from_frame: *mut u64,
     in_talkspurt: *mut bool,
@@ -464,7 +538,8 @@ pub(crate) struct ColumnsView {
     voice_buffer: *mut VoiceBuffer,
     data_source: *mut Option<DataSource>,
     data_buffer: *mut DataBuffer,
-    mean_snr_db: *mut f64,
+    link: *mut f64,
+    shadow_db: *mut f64,
     short: *mut ShortTermFading,
     long: *mut LongTermShadowing,
     chan_rng: *mut Xoshiro256StarStar,
@@ -592,17 +667,40 @@ impl ColumnsView {
         self.advance_channel(i, t, false);
     }
 
+    /// Terminal `i`'s combined fading gain in dB at its current fading
+    /// state, with deep fades clamped at -240 dB so downstream arithmetic
+    /// stays well defined.
+    ///
+    /// # Safety
+    /// Shared access to terminal `i` suffices (no mutation).
+    pub(crate) unsafe fn gain_db(&self, i: usize) -> f64 {
+        self.check(i);
+        let g = (*self.long.add(i)).local_mean_linear() * (*self.short.add(i)).envelope();
+        if g <= 1e-12 {
+            -240.0
+        } else {
+            20.0 * g.log10()
+        }
+    }
+
     /// The SNR implied by terminal `i`'s current fading state: the mean SNR
-    /// plus the combined gain in dB, with deep fades clamped at -240 dB so
-    /// downstream arithmetic stays well defined.  (Same operations, in the
-    /// same order, as the pre-SoA `CombinedChannel::snr_db`.)
+    /// plus [`ColumnsView::gain_db`].  Without a path-loss profile the mean
+    /// is the stored constant; with one it is evaluated here, from the
+    /// stored serving distance and site shadow, as
+    /// `path_loss.mean_snr_db(distance) + shadow_db` — the float expression
+    /// an every-frame evaluation would store, so the bits are the same.
+    /// (Same operations, in the same order, as the pre-SoA
+    /// `CombinedChannel::snr_db`.)
     ///
     /// # Safety
     /// Shared access to terminal `i` suffices (no mutation).
     unsafe fn snr_db(&self, i: usize) -> f64 {
-        let g = (*self.long.add(i)).local_mean_linear() * (*self.short.add(i)).envelope();
-        let gain_db = if g <= 1e-12 { -240.0 } else { 20.0 * g.log10() };
-        *self.mean_snr_db.add(i) + gain_db
+        let link = *self.link.add(i);
+        let mean_snr_db = match &self.path_loss {
+            Some(path_loss) => path_loss.mean_snr_db(link) + *self.shadow_db.add(i),
+            None => link,
+        };
+        mean_snr_db + self.gain_db(i)
     }
 
     /// Terminal `i`'s true instantaneous SNR at time `t`.
@@ -742,14 +840,38 @@ impl ColumnsView {
         &mut *self.phy_rng.add(i)
     }
 
-    /// Re-points terminal `i`'s mean SNR (dB).
+    /// Records terminal `i`'s distance to its serving base station (system
+    /// populations only).  The mean SNR follows at the next SNR sample.
     ///
     /// # Safety
     /// Exclusive access to terminal `i`.
-    pub(crate) unsafe fn set_mean_snr_db(&self, i: usize, mean_snr_db: f64) {
+    pub(crate) unsafe fn set_serving_distance(&self, i: usize, distance_m: f64) {
         self.check(i);
-        assert!(mean_snr_db.is_finite(), "mean SNR must be finite");
-        *self.mean_snr_db.add(i) = mean_snr_db;
+        debug_assert!(self.path_loss.is_some(), "no path-loss profile");
+        check_distance(distance_m);
+        *self.link.add(i) = distance_m;
+    }
+
+    /// Re-points terminal `i` at a new serving base station: its distance
+    /// to it and the site shadowing of the new link.
+    ///
+    /// # Safety
+    /// Exclusive access to terminal `i`.
+    pub(crate) unsafe fn set_link(&self, i: usize, distance_m: f64, shadow_db: f64) {
+        check_shadow(shadow_db);
+        self.set_serving_distance(i, distance_m);
+        *self.shadow_db.add(i) = shadow_db;
+    }
+
+    /// Terminal `i`'s stored site shadow in dB (the system layer's oracle
+    /// tests seed their eager record from it).
+    ///
+    /// # Safety
+    /// Shared access to terminal `i`.
+    #[cfg(test)]
+    pub(crate) unsafe fn shadow_db(&self, i: usize) -> f64 {
+        self.check(i);
+        *self.shadow_db.add(i)
     }
 
     /// Drops every buffered voice packet of terminal `i` and returns how
@@ -764,6 +886,24 @@ impl ColumnsView {
         buffer.clear();
         n
     }
+}
+
+/// Rejects a serving distance the path-loss model cannot evaluate, at the
+/// write rather than at a read frames later (kept in release builds).
+#[inline]
+fn check_distance(distance_m: f64) {
+    assert!(
+        distance_m >= 0.0 && distance_m.is_finite(),
+        "serving distance must be finite and non-negative, got {distance_m}"
+    );
+}
+
+/// Rejects a non-finite site shadow.
+fn check_shadow(shadow_db: f64) {
+    assert!(
+        shadow_db.is_finite(),
+        "site shadowing must be finite, got {shadow_db}"
+    );
 }
 
 #[cfg(test)]
@@ -827,7 +967,8 @@ mod tests {
         assert_eq!(cols.class[0], TerminalClass::Voice);
         assert_eq!(cols.active_from_frame[0], 17);
         assert_eq!(cols.in_talkspurt[0], talk);
-        assert_eq!(cols.mean_snr_db[0], 21.5);
+        assert_eq!(cols.link[0], 21.5);
+        assert_eq!(cols.shadow_db[0], 0.0);
         assert!(cols.voice_source[0].is_some());
         assert!(cols.data_source[0].is_none());
         assert_eq!(cols.chan_now[0], SimTime::ZERO);

@@ -18,12 +18,18 @@
 //!    their handoff admission queues, oldest first.
 //! 2. **Roam** (parallel per cell): each member's traffic sources advance
 //!    (counters attributed to the serving cell), its random-waypoint motion
-//!    steps, its mean SNR is re-pointed from the distance to its serving
-//!    base station ([`PathLossConfig`]), and — when a different base station
+//!    steps, its distance to its serving base station is computed once and
+//!    stored in the terminal columns, and — when a different base station
 //!    has become closer by the hysteresis margin — a handoff attempt is
 //!    recorded in the cell's **mailbox**.  Nothing cross-cell is touched.
+//!    The mean SNR is *not* evaluated here: the base station samples a
+//!    terminal's channel only for request pilots, CSI polls and
+//!    transmissions, so the path loss ([`PathLossConfig`]) plus the link's
+//!    site shadow is evaluated from the stored distance at that sample, the
+//!    same float expression on the same inputs as an every-frame update.
 //!    The nearest base station comes from a `CellLocator` built once per
-//!    run: a walk from the serving cell over precomputed neighbourhoods
+//!    run, handed the serving distance as its walk's start distance: a walk
+//!    from the serving cell over precomputed neighbourhoods
 //!    (every center within two spacings), so a lookup costs O(neighbours)
 //!    rather than O(cells), and nothing at all for a terminal within half a
 //!    spacing of its serving center.  It is exact: when the walk stops at a
@@ -269,15 +275,21 @@ impl CellLocator {
 
     /// The nearest cell center to `pos` and its distance, identical to
     /// [`nearest_by_scan`] (bits included) from any `start` cell.
-    fn nearest(&self, pos: Position, start: u32) -> (u32, f64) {
-        self.walk(pos, start)
+    /// `d_start` is `pos.distance_m` of the start cell's center, which the
+    /// caller has already computed.
+    fn nearest(&self, pos: Position, start: u32, d_start: f64) -> (u32, f64) {
+        self.walk(pos, start, d_start)
             .unwrap_or_else(|| nearest_by_scan(&self.centers, pos))
     }
 
     /// The neighbourhood walk from `start`; `None` when its fixed point is
     /// not certified (see the [type docs](Self)).
-    fn walk(&self, pos: Position, start: u32) -> Option<(u32, f64)> {
-        let d_start = pos.distance_m(self.centers[start as usize]);
+    fn walk(&self, pos: Position, start: u32, d_start: f64) -> Option<(u32, f64)> {
+        debug_assert_eq!(
+            d_start.to_bits(),
+            pos.distance_m(self.centers[start as usize]).to_bits(),
+            "d_start must be the distance to the start cell"
+        );
         if d_start < self.inner_m {
             return Some((start, d_start));
         }
@@ -304,10 +316,9 @@ struct RoamState {
     serving: u32,
     /// Random-waypoint motion.
     motion: RandomWaypoint,
-    /// The terminal's mobility stream (waypoint targets, shadowing draws).
+    /// The terminal's mobility stream (waypoint targets, shadowing draws;
+    /// the current link's site shadow lives in the terminal columns).
     rng: Xoshiro256StarStar,
-    /// Site-shadowing offset (dB) of the current (terminal, cell) link.
-    shadow_db: f64,
     /// No handoff attempts before this frame (drop-on-full retry damping).
     retry_at: u64,
     /// The cell whose admission queue the terminal currently waits in.
@@ -410,10 +421,11 @@ impl SystemWorld {
             "terminal population + cell count must stay below 2^31 to keep \
              DOMAIN_PROTOCOL speed streams and cell streams disjoint"
         );
-        let mut terminals = TerminalColumns::with_capacity(
+        let mut terminals = TerminalColumns::with_path_loss(
             clock,
             config.channel_mode,
             (system.cells * per_cell) as usize,
+            system.path_loss,
         );
         let mut roam = Vec::with_capacity((system.cells * per_cell) as usize);
         let mut cells = Vec::with_capacity(system.cells as usize);
@@ -455,15 +467,13 @@ impl SystemWorld {
                     RandomWaypoint::new(start, terminal.mobility().speed_kmh, &bounds, &mut rng);
                 let shadow_db = system.path_loss.draw_site_shadow_db(&mut rng);
                 let distance = motion.position().distance_m(centers[c as usize]);
-                terminal.set_mean_snr_db(system.path_loss.mean_snr_db(distance) + shadow_db);
                 // Global ids ascend across the cell loop, matching the
                 // columnar store's push-in-index-order contract.
-                terminals.push(terminal);
+                terminals.push_at(terminal, distance, shadow_db);
                 roam.push(RoamState {
                     serving: c,
                     motion,
                     rng,
-                    shadow_db,
                     retry_at: 0,
                     queued_for: None,
                     attempt_measured: false,
@@ -533,43 +543,7 @@ impl SystemWorld {
     pub fn run(&mut self) -> RunReport {
         let n_cells = self.cells.len();
         let threads = (self.system.threads.max(1) as usize).min(n_cells);
-
-        {
-            let n_terminals = self.terminals.len();
-            let grid = ShardGrid {
-                cells: self.cells.as_mut_ptr(),
-                macs: self.macs.as_mut_ptr(),
-                roam: self.roam.as_mut_ptr(),
-                columns: self.terminals.view(),
-                traffic: self.traffic.as_mut_ptr(),
-                mailboxes: self.mailboxes.as_mut_ptr(),
-                n_cells,
-                n_terminals,
-            };
-            let ctx = FrameCtx {
-                config: &self.config,
-                system: &self.system,
-                locator: &self.locator,
-                bounds: &self.bounds,
-                dt_secs: self.config.frame.frame_duration.as_secs_f64(),
-                total: self.config.total_frames(),
-                warmup: self.config.warmup_frames,
-                drop_grace: self
-                    .config
-                    .clock()
-                    .frames_per(self.config.voice_source.deadline),
-            };
-            let mut serial = SerialState {
-                queues: &mut self.queues,
-                handoff: &mut self.handoff,
-                handoff_in: &mut self.handoff_in,
-                handoff_out: &mut self.handoff_out,
-                occupancy: &mut self.occupancy,
-                queue_len: &mut self.queue_len,
-            };
-
-            run_frames(&grid, &mut serial, &ctx, threads);
-        }
+        self.with_frame_state(|grid, serial, ctx| run_frames(grid, serial, ctx, threads));
 
         // Population conservation, checked in every build: a lost or
         // duplicated terminal fails the run instead of writing a plausible
@@ -619,6 +593,47 @@ impl SystemWorld {
             seed: self.config.seed,
             metrics,
         }
+    }
+
+    /// Calls `f` with the frame loop's state: the shard grid over the
+    /// world's per-cell and per-terminal state, the serial phases' state
+    /// and the per-run inputs.
+    fn with_frame_state<R>(
+        &mut self,
+        f: impl FnOnce(&ShardGrid, &mut SerialState<'_>, &FrameCtx<'_>) -> R,
+    ) -> R {
+        let grid = ShardGrid {
+            cells: self.cells.as_mut_ptr(),
+            macs: self.macs.as_mut_ptr(),
+            roam: self.roam.as_mut_ptr(),
+            columns: self.terminals.view(),
+            traffic: self.traffic.as_mut_ptr(),
+            mailboxes: self.mailboxes.as_mut_ptr(),
+            n_cells: self.cells.len(),
+            n_terminals: self.terminals.len(),
+        };
+        let ctx = FrameCtx {
+            config: &self.config,
+            system: &self.system,
+            locator: &self.locator,
+            bounds: &self.bounds,
+            dt_secs: self.config.frame.frame_duration.as_secs_f64(),
+            total: self.config.total_frames(),
+            warmup: self.config.warmup_frames,
+            drop_grace: self
+                .config
+                .clock()
+                .frames_per(self.config.voice_source.deadline),
+        };
+        let mut serial = SerialState {
+            queues: &mut self.queues,
+            handoff: &mut self.handoff,
+            handoff_in: &mut self.handoff_in,
+            handoff_out: &mut self.handoff_out,
+            occupancy: &mut self.occupancy,
+            queue_len: &mut self.queue_len,
+        };
+        f(&grid, &mut serial, &ctx)
     }
 }
 
@@ -777,8 +792,10 @@ unsafe fn has_room(grid: &ShardGrid, ctx: &FrameCtx<'_>, cell: u32) -> bool {
 /// Migrates terminal `i` from its serving cell to `target`: the old MAC
 /// forgets it, its buffered voice packets are lost to the hard-handoff link
 /// interruption, it draws a fresh site-shadowing offset for the new link,
-/// and its mean SNR is re-pointed at the new base station immediately (the
-/// new cell's MAC must never serve it through the old cell's path loss).
+/// and its stored link inputs — the distance to the new base station and
+/// that shadow — are written immediately, so the next SNR sample (the new
+/// cell's MAC phase, or a later one) evaluates the new link's path loss,
+/// never the old cell's.
 ///
 /// `count_flow` gates the success/flow counters: it is the `measuring` flag
 /// of the frame that *recorded the attempt*, so attempts ≥ successes and
@@ -815,13 +832,12 @@ unsafe fn migrate(
     let roam = grid.roam(i);
     roam.serving = target;
     roam.queued_for = None;
-    roam.shadow_db = ctx.system.path_loss.draw_site_shadow_db(&mut roam.rng);
+    let shadow_db = ctx.system.path_loss.draw_site_shadow_db(&mut roam.rng);
     let d = roam
         .motion
         .position()
         .distance_m(ctx.locator.centers()[target as usize]);
-    let snr_db = ctx.system.path_loss.mean_snr_db(d) + roam.shadow_db;
-    grid.columns.set_mean_snr_db(i, snr_db);
+    grid.columns.set_link(i, d, shadow_db);
 }
 
 /// Phase 1: admits queued terminals into every cell that has room, oldest
@@ -854,7 +870,7 @@ unsafe fn drain_admission_queues(
 }
 
 /// Phase 2 for one cell: traffic boundaries (counters attributed to this
-/// cell), mobility, path-loss SNR re-pointing, and handoff decisions
+/// cell), mobility, the serving distance, and handoff decisions
 /// recorded into this cell's mailbox.  Touches only this cell's state and
 /// its members' per-terminal state, so distinct cells may run concurrently.
 ///
@@ -894,18 +910,18 @@ unsafe fn roam_phase(
             metrics.data.arrived += tr.data_packets_arrived as u64;
         }
 
-        // Mobility and path loss.
+        // Mobility, and the serving distance the mean SNR is evaluated from
+        // when (and if) the MAC samples this terminal's channel.
         let roam = grid.roam(i);
         debug_assert_eq!(roam.serving, c as u32);
         roam.motion.advance(ctx.dt_secs, ctx.bounds, &mut roam.rng);
         let pos = roam.motion.position();
         let d_serving = pos.distance_m(ctx.locator.centers()[c]);
-        let snr_db = ctx.system.path_loss.mean_snr_db(d_serving) + roam.shadow_db;
-        grid.columns.set_mean_snr_db(i, snr_db);
+        grid.columns.set_serving_distance(i, d_serving);
 
         // Nearest base station (Voronoi cell of the current position),
         // walked from the serving cell.
-        let (nearest, d_nearest) = ctx.locator.nearest(pos, c as u32);
+        let (nearest, d_nearest) = ctx.locator.nearest(pos, c as u32, d_serving);
         debug_assert_eq!(
             (nearest, d_nearest.to_bits()),
             {
@@ -1281,6 +1297,7 @@ mod tests {
     use super::*;
     use crate::config::{HandoffAdmission, Layout, SystemConfig};
     use crate::scenario::Scenario;
+    use charisma_radio::ChannelMode;
     use proptest::prelude::*;
 
     fn small_config() -> SimConfig {
@@ -1398,8 +1415,14 @@ mod tests {
 
     /// The locator's answer from `start`, as comparable bits.
     fn located(loc: &CellLocator, pos: Position, start: u32) -> (u32, u64) {
-        let (n, d) = loc.nearest(pos, start);
+        let (n, d) = loc.nearest(pos, start, d_start(loc, pos, start));
         (n, d.to_bits())
+    }
+
+    /// The distance from `pos` to `start`'s center, as the roam phase
+    /// passes it to the locator.
+    fn d_start(loc: &CellLocator, pos: Position, start: u32) -> f64 {
+        pos.distance_m(loc.centers()[start as usize])
     }
 
     /// The full scan's answer, as comparable bits.
@@ -1440,7 +1463,7 @@ mod tests {
             // cell is within one radius: the roam phase's common case never
             // pays for the scan.
             if f64::from_bits(truth.1) <= radius {
-                prop_assert!(loc.walk(pos, truth.0).is_some());
+                prop_assert!(loc.walk(pos, truth.0, f64::from_bits(truth.1)).is_some());
             }
         }
     }
@@ -1482,7 +1505,8 @@ mod tests {
             let truth = scanned(&loc, corner);
             assert!(f64::from_bits(truth.1) > 2.0 * radius);
             for start in 0..127 {
-                assert!(loc.walk(corner, start).is_none(), "corner from {start}");
+                let d = d_start(&loc, corner, start);
+                assert!(loc.walk(corner, start, d).is_none(), "corner from {start}");
                 assert_eq!(located(&loc, corner, start), truth);
             }
         }
@@ -1494,7 +1518,9 @@ mod tests {
         ] {
             let truth = scanned(&loc, interior);
             for start in 0..127 {
-                let walked = loc.walk(interior, start).expect("interior walk certifies");
+                let walked = loc
+                    .walk(interior, start, d_start(&loc, interior, start))
+                    .expect("interior walk certifies");
                 assert_eq!((walked.0, walked.1.to_bits()), truth, "from {start}");
             }
         }
@@ -1518,6 +1544,127 @@ mod tests {
         assert_eq!(multi.metrics.frames, legacy.metrics.frames);
         assert_eq!(multi.metrics.handoff, HandoffStats::default());
         assert_eq!(multi.metrics.per_cell.len(), 1);
+    }
+
+    /// Every terminal's serving cell and a copy of its mobility stream, taken
+    /// before a serial phase that may migrate terminals.
+    ///
+    /// # Safety
+    /// Serial phases only.
+    unsafe fn roam_snapshot(grid: &ShardGrid) -> Vec<(u32, Xoshiro256StarStar)> {
+        (0..grid.n_terminals)
+            .map(|i| (grid.roam(i).serving, grid.roam(i).rng.clone()))
+            .collect()
+    }
+
+    /// Replays the site-shadow draw of every terminal that migrated since
+    /// `before` into `shadow`, and marks it in `migrated`.  `migrate` draws
+    /// exactly one shadow from the mobility stream, so a copy of the stream
+    /// taken before the phase yields the same value independently.
+    ///
+    /// # Safety
+    /// Serial phases only.
+    unsafe fn replay_shadows(
+        grid: &ShardGrid,
+        ctx: &FrameCtx<'_>,
+        before: Vec<(u32, Xoshiro256StarStar)>,
+        shadow: &mut [f64],
+        migrated: &mut [bool],
+    ) {
+        for (i, (serving, mut rng)) in before.into_iter().enumerate() {
+            if grid.roam(i).serving != serving {
+                shadow[i] = ctx.system.path_loss.draw_site_shadow_db(&mut rng);
+                migrated[i] = true;
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_mean_snr_matches_an_eager_evaluation_bit_for_bit() {
+        // The oracle for the lazy mean SNR: the frame loop stepped phase by
+        // phase on one thread, with every terminal's SNR read before each
+        // MAC phase (where the base station samples channels) and compared
+        // with the every-frame expression evaluated from scratch — path loss
+        // at the serving distance, the site shadow replayed independently
+        // at each migration, plus the fading gain.  Capacity equal to the
+        // initial population plus one under the queue policy makes terminals
+        // migrate both in the merge and from the admission queues.
+        for mode in [ChannelMode::Lazy, ChannelMode::Eager] {
+            let mut cfg = small_config();
+            cfg.measured_frames = 8_000;
+            cfg.channel_mode = mode;
+            let mut system = roaming_system(7);
+            system.handoff.cell_capacity = cfg.num_voice + cfg.num_data + 1;
+            system.handoff.admission = HandoffAdmission::Queue;
+            cfg.system = Some(system);
+            let clock = cfg.clock();
+            let mut world = SystemWorld::new(cfg, ProtocolKind::Charisma);
+            let (mut after_merge, mut after_drain) = (0u64, 0u64);
+            // SAFETY: one thread steps every phase in frame-loop order, so
+            // each call has the whole grid to itself.
+            world.with_frame_state(|grid, serial, ctx| unsafe {
+                let n = grid.n_terminals;
+                let mut shadow: Vec<f64> = (0..n).map(|i| grid.columns.shadow_db(i)).collect();
+                for frame in 0..ctx.total {
+                    let (measuring, measuring_drops) = ctx.measuring(frame);
+                    let mut drained = vec![false; n];
+                    let mut merged = vec![false; n];
+                    let before = roam_snapshot(grid);
+                    drain_admission_queues(grid, serial, ctx, measuring_drops);
+                    replay_shadows(grid, ctx, before, &mut shadow, &mut drained);
+                    for c in 0..grid.n_cells {
+                        roam_phase(grid, ctx, c, frame, measuring, measuring_drops);
+                    }
+                    let before = roam_snapshot(grid);
+                    merge_mailboxes(grid, serial, ctx, frame, measuring, measuring_drops);
+                    replay_shadows(grid, ctx, before, &mut shadow, &mut merged);
+
+                    let now = clock.frame_start(frame);
+                    for i in 0..n {
+                        let lazy = grid.columns.true_snr_db(i, now);
+                        let roam = grid.roam(i);
+                        let d = roam
+                            .motion
+                            .position()
+                            .distance_m(ctx.locator.centers()[roam.serving as usize]);
+                        let eager = ctx.system.path_loss.mean_snr_db(d)
+                            + shadow[i]
+                            + grid.columns.gain_db(i);
+                        assert_eq!(
+                            lazy.to_bits(),
+                            eager.to_bits(),
+                            "{mode:?} frame {frame} terminal {i}: lazy {lazy} dB, eager {eager} dB"
+                        );
+                        after_drain += drained[i] as u64;
+                        after_merge += merged[i] as u64;
+                    }
+                    for c in 0..grid.n_cells {
+                        mac_phase(grid, ctx, c, frame, measuring);
+                    }
+                }
+            });
+            // Terminals were checked right after both kinds of migration.
+            assert!(after_merge > 20, "{mode:?}: {after_merge} merge migrations");
+            assert!(
+                after_drain > 20,
+                "{mode:?}: {after_drain} queued admissions"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "serving distance must be finite and non-negative")]
+    fn a_non_finite_serving_distance_is_rejected_at_the_write() {
+        let mut cfg = small_config();
+        cfg.system = Some(roaming_system(2));
+        let mut world = SystemWorld::new(cfg, ProtocolKind::Charisma);
+        // SAFETY: `&mut world` is exclusive access to every terminal.
+        unsafe {
+            world
+                .terminals
+                .view()
+                .set_serving_distance(3, f64::INFINITY)
+        };
     }
 
     #[test]

@@ -180,10 +180,11 @@ impl Terminal {
         self.channel.mobility()
     }
 
-    /// Re-points the channel's mean SNR (dB).  The multi-cell system layer
-    /// calls this while placing terminals at construction time; once a
-    /// terminal is pushed into a columnar store, the system layer re-points
-    /// it every frame through the store's column view instead.
+    /// Re-points the channel's mean SNR (dB), which a single-cell store
+    /// keeps as the terminal's constant mean.  A system population ignores
+    /// it: its store holds each terminal's serving distance and site shadow
+    /// instead and evaluates the path-loss mean from them when the channel
+    /// is sampled.
     pub fn set_mean_snr_db(&mut self, mean_snr_db: f64) {
         self.channel.set_mean_snr_db(mean_snr_db);
     }
