@@ -1,24 +1,20 @@
 //! Bespoke (non-sweep) artifact generators.
 //!
-//! Four of the paper's artifacts are not parameter sweeps and therefore do
+//! Three of the paper's artifacts are not parameter sweeps and therefore do
 //! not fit the declarative [`ScenarioSpec`](charisma::ScenarioSpec) shape:
-//! the Table 1 parameter listing, the Fig. 5 fading trace, the Fig. 7 ABICM
-//! curves and the frame-loop performance benchmark.  They live here as plain
-//! functions so the campaign registry can drive them exactly like the sweep
-//! campaigns.
+//! the Table 1 parameter listing, the Fig. 5 fading trace and the Fig. 7
+//! ABICM curves.  They live here as plain functions so the campaign registry
+//! can drive them exactly like the sweep campaigns.
 
-use crate::{base_config, write_csv, write_output_to, BaselineWrite, BenchProfile};
+use crate::{base_config, write_csv, BenchProfile};
 use charisma::des::{RngStreams, SimDuration, StreamId};
-use charisma::metrics::RunningStat;
 use charisma::phy::{AdaptivePhy, FixedPhy, Phy};
-use charisma::radio::{ChannelConfig, ChannelMode, CombinedChannel, Mobility};
-use charisma::{ProtocolKind, Scenario, SimConfig};
+use charisma::radio::{ChannelConfig, CombinedChannel, Mobility};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Table 1 — prints every parameter of the common simulation platform and
 /// writes `table1_parameters.csv` under `dir`.
-pub fn run_table1(profile: BenchProfile, _baseline: BaselineWrite, dir: &Path) -> Vec<PathBuf> {
+pub fn run_table1(profile: BenchProfile, dir: &Path) -> Vec<PathBuf> {
     let cfg = base_config(profile);
     let frame = &cfg.frame;
 
@@ -160,11 +156,7 @@ pub fn run_table1(profile: BenchProfile, _baseline: BaselineWrite, dir: &Path) -
 
 /// Fig. 5 — a 2-second sample of the combined fading process at 50 km/h;
 /// writes `fig5_fading.csv` under `dir`.
-pub fn run_fig5_fading(
-    _profile: BenchProfile,
-    _baseline: BaselineWrite,
-    dir: &Path,
-) -> Vec<PathBuf> {
+pub fn run_fig5_fading(_profile: BenchProfile, dir: &Path) -> Vec<PathBuf> {
     let streams = RngStreams::new(0xF165_BEEF);
     let mut channel = CombinedChannel::new(
         ChannelConfig::default(),
@@ -221,11 +213,7 @@ pub fn run_fig5_fading(
 
 /// Fig. 7 — ABICM throughput and error behaviour versus CSI; writes
 /// `fig7_abicm.csv` under `dir`.
-pub fn run_fig7_abicm(
-    _profile: BenchProfile,
-    _baseline: BaselineWrite,
-    dir: &Path,
-) -> Vec<PathBuf> {
+pub fn run_fig7_abicm(_profile: BenchProfile, dir: &Path) -> Vec<PathBuf> {
     let adaptive = AdaptivePhy::default();
     let fixed = FixedPhy::default();
 
@@ -263,256 +251,4 @@ pub fn run_fig7_abicm(
         "csi_db,mode,normalised_throughput,adaptive_per,fixed_per",
         &rows,
     )]
-}
-
-/// One measured (protocol, channel mode) combination of the frame-loop
-/// benchmark.
-pub struct Measurement {
-    /// The protocol measured.
-    pub protocol: ProtocolKind,
-    /// The channel evaluation mode measured.
-    pub mode: ChannelMode,
-    /// Wall-clock repetitions taken.
-    pub reps: u32,
-    /// Fastest repetition, in seconds.
-    pub best_elapsed_secs: f64,
-    /// Frames per second of the fastest repetition.
-    pub frames_per_second: f64,
-    /// Per-repetition frames-per-second samples (mean/CI for the gate).
-    pub fps: RunningStat,
-    /// Voice loss of the (deterministic) run, as a sanity check.
-    pub voice_loss_rate: f64,
-}
-
-/// The JSON label of a channel mode in the benchmark record.
-pub fn mode_label(mode: ChannelMode) -> &'static str {
-    match mode {
-        ChannelMode::Eager => "eager",
-        ChannelMode::Lazy => "lazy",
-    }
-}
-
-/// The (protocol, mode) grid the frame-loop benchmark measures.
-pub const BENCH_PROTOCOLS: [ProtocolKind; 2] = [ProtocolKind::Charisma, ProtocolKind::DTdmaVr];
-
-/// The reference scenario of the frame-loop benchmark for a profile.
-pub fn reference_config(profile: BenchProfile) -> SimConfig {
-    let mut cfg = SimConfig::default_paper();
-    cfg.num_voice = 60;
-    cfg.num_data = 10;
-    if profile == BenchProfile::Quick {
-        cfg.warmup_frames = 500;
-        cfg.measured_frames = 1_500;
-    } else {
-        cfg.warmup_frames = 2_000;
-        cfg.measured_frames = 18_000;
-    }
-    cfg
-}
-
-/// Measures one (protocol, mode) combination: `reps` wall-clock repetitions
-/// of the same deterministic run.
-pub fn measure(
-    base: &SimConfig,
-    protocol: ProtocolKind,
-    mode: ChannelMode,
-    reps: u32,
-) -> Measurement {
-    let mut cfg = base.clone();
-    cfg.channel_mode = mode;
-    let scenario = Scenario::new(cfg);
-    let total_frames = scenario.config().total_frames();
-    let mut best = f64::INFINITY;
-    let mut fps = RunningStat::new();
-    let mut loss = 0.0;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let report = scenario.run(protocol);
-        let elapsed = start.elapsed().as_secs_f64();
-        best = best.min(elapsed);
-        fps.push(total_frames as f64 / elapsed);
-        loss = report.voice_loss_rate();
-    }
-    Measurement {
-        protocol,
-        mode,
-        reps,
-        best_elapsed_secs: best,
-        frames_per_second: total_frames as f64 / best,
-        fps,
-        voice_loss_rate: loss,
-    }
-}
-
-/// The file the frame-loop benchmark record is written to in the results
-/// directory.
-///
-/// Only an explicitly named standard-profile run writes the canonical
-/// `BENCH_frame_loop.json` — the committed baseline the CI regression gate
-/// compares against.  Quick and full runs (CI smoke steps, local
-/// experiments) go to profile-suffixed siblings, and a bulk `run all` at the
-/// standard profile goes to a `.standard.json` sidecar, so the committed
-/// baseline is only ever regenerated deliberately.
-pub fn bench_frame_loop_file(profile: BenchProfile, baseline: BaselineWrite) -> &'static str {
-    match (profile, baseline) {
-        (BenchProfile::Standard, BaselineWrite::Allowed) => "BENCH_frame_loop.json",
-        (BenchProfile::Standard, BaselineWrite::Sidecar) => "BENCH_frame_loop.standard.json",
-        (BenchProfile::Quick, _) => "BENCH_frame_loop.quick.json",
-        (BenchProfile::Full, _) => "BENCH_frame_loop.full.json",
-    }
-}
-
-/// The frame-loop throughput benchmark: the perf trajectory every PR is
-/// measured against.  Runs the reference scenario (60 voice + 10 data
-/// terminals) under CHARISMA and D-TDMA/VR with both the eager baseline and
-/// the lazy hot path, prints frames per second, and writes the routed
-/// record file (schema `charisma.bench_frame_loop.v1`, see
-/// [`bench_frame_loop_file`]) under `dir`.
-pub fn run_bench_frame_loop(
-    profile: BenchProfile,
-    baseline: BaselineWrite,
-    dir: &Path,
-) -> Vec<PathBuf> {
-    let config = reference_config(profile);
-    let reps = if profile == BenchProfile::Quick { 1 } else { 3 };
-    let protocols = BENCH_PROTOCOLS;
-    let profile_label = profile.label();
-
-    println!(
-        "Frame-loop throughput: {} voice + {} data terminals, {} frames, best of {reps}",
-        config.num_voice,
-        config.num_data,
-        config.total_frames()
-    );
-    println!(
-        "{:<12}{:>8}{:>14}{:>16}{:>12}",
-        "protocol", "mode", "elapsed [s]", "frames/s", "Ploss"
-    );
-
-    let mut runs: Vec<Measurement> = Vec::new();
-    for protocol in protocols {
-        for mode in [ChannelMode::Eager, ChannelMode::Lazy] {
-            let m = measure(&config, protocol, mode, reps);
-            println!(
-                "{:<12}{:>8}{:>14.3}{:>16.0}{:>12.4}",
-                m.protocol.label(),
-                mode_label(m.mode),
-                m.best_elapsed_secs,
-                m.frames_per_second,
-                m.voice_loss_rate
-            );
-            runs.push(m);
-        }
-    }
-
-    let mut run_objects: Vec<String> = Vec::new();
-    for m in &runs {
-        run_objects.push(format!(
-            concat!(
-                "    {{\"protocol\": \"{}\", \"mode\": \"{}\", \"reps\": {}, ",
-                "\"best_elapsed_secs\": {:.6}, \"frames_per_second\": {:.1}, ",
-                "\"voice_loss_rate\": {:.6}}}"
-            ),
-            m.protocol.label(),
-            mode_label(m.mode),
-            m.reps,
-            m.best_elapsed_secs,
-            m.frames_per_second,
-            m.voice_loss_rate
-        ));
-    }
-
-    let mut speedups: Vec<String> = Vec::new();
-    println!();
-    for protocol in protocols {
-        let fps_of = |mode: ChannelMode| {
-            runs.iter()
-                .find(|m| m.protocol == protocol && m.mode == mode)
-                .map(|m| m.frames_per_second)
-                .unwrap_or(f64::NAN)
-        };
-        let eager = fps_of(ChannelMode::Eager);
-        let lazy = fps_of(ChannelMode::Lazy);
-        let speedup = lazy / eager;
-        println!("{:<12} lazy/eager speedup: {speedup:.2}x", protocol.label());
-        speedups.push(format!(
-            concat!(
-                "    {{\"protocol\": \"{}\", \"eager_fps\": {:.1}, ",
-                "\"lazy_fps\": {:.1}, \"lazy_over_eager\": {:.3}}}"
-            ),
-            protocol.label(),
-            eager,
-            lazy,
-            speedup
-        ));
-    }
-
-    let json = format!(
-        "{{\n\
-         \x20 \"schema\": \"charisma.bench_frame_loop.v1\",\n\
-         \x20 \"profile\": \"{profile_label}\",\n\
-         \x20 \"scenario\": {{\n\
-         \x20   \"num_voice\": {},\n\
-         \x20   \"num_data\": {},\n\
-         \x20   \"warmup_frames\": {},\n\
-         \x20   \"measured_frames\": {},\n\
-         \x20   \"total_frames\": {},\n\
-         \x20   \"seed\": {}\n\
-         \x20 }},\n\
-         \x20 \"runs\": [\n{}\n  ],\n\
-         \x20 \"speedup\": [\n{}\n  ]\n\
-         }}\n",
-        config.num_voice,
-        config.num_data,
-        config.warmup_frames,
-        config.measured_frames,
-        config.total_frames(),
-        config.seed,
-        run_objects.join(",\n"),
-        speedups.join(",\n"),
-    );
-    let path = write_output_to(dir, bench_frame_loop_file(profile, baseline), &json)
-        .expect("failed to persist the benchmark record");
-    vec![path]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn only_an_explicit_standard_run_writes_the_committed_baseline() {
-        assert_eq!(
-            bench_frame_loop_file(BenchProfile::Standard, BaselineWrite::Allowed),
-            "BENCH_frame_loop.json"
-        );
-        // Every other (profile, context) combination is routed elsewhere.
-        for p in BenchProfile::ALL {
-            for b in [BaselineWrite::Allowed, BaselineWrite::Sidecar] {
-                if p == BenchProfile::Standard && b == BaselineWrite::Allowed {
-                    continue;
-                }
-                assert_ne!(
-                    bench_frame_loop_file(p, b),
-                    "BENCH_frame_loop.json",
-                    "{} / {b:?} must never overwrite the committed standard baseline",
-                    p.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn measure_collects_per_repetition_fps_samples() {
-        let mut cfg = SimConfig::quick_test();
-        cfg.num_voice = 5;
-        cfg.num_data = 1;
-        cfg.warmup_frames = 50;
-        cfg.measured_frames = 300;
-        let m = measure(&cfg, ProtocolKind::Charisma, ChannelMode::Lazy, 3);
-        assert_eq!(m.reps, 3);
-        assert_eq!(m.fps.count(), 3);
-        assert!(m.fps.mean() > 0.0);
-        assert!(m.frames_per_second >= m.fps.mean(), "best >= mean fps");
-    }
 }

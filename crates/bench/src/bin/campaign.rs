@@ -5,7 +5,7 @@
 //! campaign describe <name>                    # details + the exact spec JSON
 //! campaign run <name>... --profile quick      # run entries, write results/ + MANIFEST.json
 //! campaign run all --profile full             # regenerate every artifact
-//! campaign gate bench_frame_loop --profile quick  # regression gate vs committed baseline
+//! campaign gate all --profile quick          # byte-exact gate vs results/quick/
 //! campaign write-handbook                     # refresh EXPERIMENTS.md's generated section
 //! ```
 //!
@@ -15,13 +15,11 @@
 //! the handbook after the run.  Sweep runs checkpoint every completed point
 //! to `results/.checkpoint/<entry>.jsonl`; an interrupted campaign finishes
 //! from where it stopped with `campaign run <name> --resume`, byte-identical
-//! to an uninterrupted run.  Every `gate` run extends the append-only ledger
-//! `results/BENCH_history.jsonl`, and `campaign trend` reads it back to flag
-//! slow drift the per-run tolerance cannot see.  See `EXPERIMENTS.md` for
-//! the per-scenario documentation this binary maintains.
+//! to an uninterrupted run.  See `EXPERIMENTS.md` for the per-scenario
+//! documentation this binary maintains.
 
 use charisma_bench::registry::{self, EntryKind};
-use charisma_bench::{checkpoint, gate, trend, BaselineWrite, BenchProfile};
+use charisma_bench::{checkpoint, gate, BenchProfile};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -35,14 +33,13 @@ commands:
                               sweep progress is checkpointed per point under
                               results/.checkpoint/ — exit 3 means interrupted,
                               finish with `campaign run <name> --resume`)
-  gate <name> | all           re-run a scenario and compare against its committed
-                              baseline in results/ (exit 0 pass, 1 regression);
-                              \"all\" gates every entry with a committed baseline
-                              and prints a one-line pass/fail summary table;
-                              every gate run appends to results/BENCH_history.jsonl
-  trend                       analyse results/BENCH_history.jsonl for slow drift
-                              the per-run gate tolerance cannot see (exit 0 healthy
-                              or insufficient history, 1 drift detected)
+  gate <name> | all           re-run a scenario into results/GATE_fresh/<profile>/
+                              and compare every file it writes, byte for byte,
+                              against its committed copy (results/quick/ for the
+                              quick profile, results/ for standard): exit 0
+                              identical, 1 a file differs, 2 no committed copy,
+                              an unknown entry or a failed run; \"all\" gates
+                              every entry and prints a summary table
   write-handbook              refresh the generated section of EXPERIMENTS.md
 
 run options:
@@ -60,18 +57,7 @@ run options:
    smoke test use)
 
 gate options:
-  --profile / --threads           run length / workers of sweep-entry gates;
-                                  the bench_frame_loop gate ignores both — it
-                                  always re-measures the standard reference
-                                  scenario the committed baseline recorded
-  --tolerance F                   allowed relative regression (default 0.30);
-                                  the 95% CI half-width is always credited on top,
-                                  so seed/timing noise alone cannot fail the gate
-  --baseline PATH                 compare against PATH instead of the default
-                                  committed baseline
-
-trend options:
-  --history PATH                  ledger to analyse (default results/BENCH_history.jsonl)";
+  --profile / --threads           as for run (the bytes do not depend on --threads)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,7 +70,6 @@ fn main() -> ExitCode {
         "describe" => describe(&args[1..]),
         "run" => run(&args[1..]),
         "gate" => run_gate(&args[1..]),
-        "trend" => run_trend(&args[1..]),
         "write-handbook" => write_handbook(),
         "-h" | "--help" | "help" => {
             println!("{USAGE}");
@@ -251,18 +236,20 @@ fn run(args: &[String]) -> ExitCode {
         eprintln!("campaign run: no scenarios given (try \"all\" or `campaign list`)");
         return ExitCode::from(2);
     }
-    // Bulk runs route committed baselines (the frame-loop perf record) to
-    // sidecar files: only an explicitly named run may refresh them.
-    let mut baseline = BaselineWrite::Allowed;
     if names.iter().any(|n| n == "all") {
         if names.len() > 1 {
             eprintln!("campaign run: \"all\" cannot be combined with explicit names");
             return ExitCode::from(2);
         }
         names = registry::names().iter().map(|s| s.to_string()).collect();
-        baseline = BaselineWrite::Sidecar;
     }
-    let profile = profile.unwrap_or_else(BenchProfile::from_env);
+    let profile = match profile.map_or_else(BenchProfile::from_env, Ok) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("campaign run: {e}");
+            return ExitCode::from(2);
+        }
+    };
     for name in &names {
         if registry::find(name).is_none() {
             eprintln!(
@@ -284,7 +271,7 @@ fn run(args: &[String]) -> ExitCode {
         }
     };
 
-    match checkpoint::run_and_record_durable(&names, profile, threads, baseline, &opts) {
+    match checkpoint::run_and_record_durable(&names, profile, threads, &opts) {
         Ok(reports) => {
             let points: usize = reports.iter().map(|r| r.points).sum();
             println!(
@@ -310,8 +297,6 @@ fn run_gate(args: &[String]) -> ExitCode {
     let mut name: Option<String> = None;
     let mut profile: Option<BenchProfile> = None;
     let mut threads = 0usize;
-    let mut tolerance = gate::DEFAULT_TOLERANCE;
-    let mut baseline: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -343,28 +328,6 @@ fn run_gate(args: &[String]) -> ExitCode {
                 }
                 i += 2;
             }
-            "--tolerance" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("campaign gate: --tolerance needs a fraction (e.g. 0.30)");
-                    return ExitCode::from(2);
-                };
-                match value.parse::<f64>() {
-                    Ok(t) => tolerance = t,
-                    Err(_) => {
-                        eprintln!("campaign gate: invalid tolerance \"{value}\"");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
-            "--baseline" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("campaign gate: --baseline needs a path");
-                    return ExitCode::from(2);
-                };
-                baseline = Some(PathBuf::from(value));
-                i += 2;
-            }
             flag if flag.starts_with('-') => {
                 eprintln!("campaign gate: unknown option \"{flag}\"\n\n{USAGE}");
                 return ExitCode::from(2);
@@ -380,41 +343,38 @@ fn run_gate(args: &[String]) -> ExitCode {
         }
     }
     let Some(name) = name else {
-        eprintln!("campaign gate: missing scenario name (e.g. bench_frame_loop, all)\n\n{USAGE}");
+        eprintln!("campaign gate: missing scenario name (e.g. fig11, all)\n\n{USAGE}");
         return ExitCode::from(2);
     };
-    let profile = profile.unwrap_or_else(BenchProfile::from_env);
-    if name == "all" {
-        if baseline.is_some() {
-            eprintln!("campaign gate: --baseline cannot be combined with \"all\"");
+    let profile = match profile.map_or_else(BenchProfile::from_env, Ok) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("campaign gate: {e}");
             return ExitCode::from(2);
         }
-        return gate_all(profile, threads, tolerance);
+    };
+    let results_dir = charisma_bench::output_dir();
+    if name == "all" {
+        return gate_all(profile, threads, &results_dir);
     }
-    match gate::run_gate(&name, profile, threads, tolerance, baseline.as_deref()) {
+    match gate::run_gate(&name, profile, threads, &results_dir) {
         Ok(report) => {
             println!();
-            for check in &report.checks {
+            for check in &report.files {
                 println!("{check}");
             }
             println!();
-            trend::record_gate_outcomes(
-                &[(&report, report.passed())],
-                profile,
-                tolerance,
-                &trend::history_path(),
-            );
             if report.passed() {
                 println!(
-                    "gate {name}: PASS ({} checks within tolerance {tolerance})",
-                    report.checks.len()
+                    "gate {name}: PASS ({} file(s) byte-identical)",
+                    report.files.len()
                 );
                 ExitCode::SUCCESS
             } else {
                 eprintln!(
-                    "gate {name}: FAIL ({}/{} checks out of tolerance {tolerance})",
+                    "gate {name}: FAIL ({}/{} files differ from their committed copy)",
                     report.failures(),
-                    report.checks.len()
+                    report.files.len()
                 );
                 ExitCode::FAILURE
             }
@@ -426,32 +386,27 @@ fn run_gate(args: &[String]) -> ExitCode {
     }
 }
 
-fn gate_all(profile: BenchProfile, threads: usize, tolerance: f64) -> ExitCode {
-    let outcomes = gate::run_gate_all(profile, threads, tolerance);
-    trend::record_gate_all_outcomes(&outcomes, profile, tolerance, &trend::history_path());
+fn gate_all(profile: BenchProfile, threads: usize, results_dir: &Path) -> ExitCode {
+    let outcomes = gate::run_gate_all(profile, threads, results_dir);
     println!();
-    println!(
-        "gate all — summary [{} profile, tolerance {tolerance}]",
-        profile.label()
-    );
+    println!("gate all — summary [{} profile]", profile.label());
     println!("{:<20} {:<6} detail", "entry", "status");
-    let (mut failures, mut errors, mut gated) = (0usize, 0usize, 0usize);
+    let (mut failures, mut errors) = (0usize, 0usize);
     for (name, outcome) in &outcomes {
         let detail = match outcome {
             gate::GateOutcome::Pass(report) => {
-                gated += 1;
-                format!("{} checks within tolerance", report.checks.len())
+                format!("{} file(s) byte-identical", report.files.len())
             }
             gate::GateOutcome::Fail(report) => {
-                gated += 1;
                 failures += 1;
-                format!(
-                    "{}/{} checks out of tolerance",
-                    report.failures(),
-                    report.checks.len()
-                )
+                report
+                    .files
+                    .iter()
+                    .filter(|c| !c.passed())
+                    .map(|c| c.to_string())
+                    .collect::<Vec<_>>()
+                    .join("; ")
             }
-            gate::GateOutcome::Skipped(reason) => reason.clone(),
             gate::GateOutcome::Error(e) => {
                 errors += 1;
                 e.clone()
@@ -460,7 +415,7 @@ fn gate_all(profile: BenchProfile, threads: usize, tolerance: f64) -> ExitCode {
         println!("{name:<20} {:<6} {detail}", outcome.status());
     }
     println!();
-    let skipped = outcomes.len() - gated - errors;
+    let gated = outcomes.len();
     let verdict = if failures > 0 {
         "FAIL"
     } else if errors > 0 {
@@ -470,78 +425,21 @@ fn gate_all(profile: BenchProfile, threads: usize, tolerance: f64) -> ExitCode {
     };
     // The one-line machine-readable summary CI uploads as an artifact.
     let summary = format!(
-        "gate all [{} profile, tolerance {tolerance}]: {verdict} — \
-         {gated} gated, {failures} failed, {errors} errors, {skipped} skipped\n",
+        "gate all [{} profile]: {verdict} — {gated} entries, {failures} failed, {errors} errors\n",
         profile.label()
     );
-    if let Err(e) = charisma_bench::write_output("GATE_summary.txt", &summary) {
+    if let Err(e) = charisma_bench::write_output_to(results_dir, "GATE_summary.txt", &summary) {
         eprintln!("campaign gate: could not write GATE_summary.txt: {e}");
     }
     if failures > 0 {
-        eprintln!("gate all: FAIL ({failures} of {gated} gated entries regressed)");
+        eprintln!("gate all: FAIL ({failures} of {gated} entries differ)");
         ExitCode::FAILURE
     } else if errors > 0 {
-        eprintln!("gate all: {errors} entries hit infrastructure errors");
+        eprintln!("gate all: {errors} entries could not be compared");
         ExitCode::from(2)
     } else {
-        println!("gate all: PASS ({gated} gated entries, rest skipped)");
+        println!("gate all: PASS ({gated} entries byte-identical)");
         ExitCode::SUCCESS
-    }
-}
-
-fn run_trend(args: &[String]) -> ExitCode {
-    let mut history: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--history" => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("campaign trend: --history needs a path");
-                    return ExitCode::from(2);
-                };
-                history = Some(PathBuf::from(value));
-                i += 2;
-            }
-            other => {
-                eprintln!("campaign trend: unknown option \"{other}\"\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let history = history.unwrap_or_else(trend::history_path);
-    let (records, warnings) = match trend::load_history(&history) {
-        Ok(loaded) => loaded,
-        Err(e) => {
-            eprintln!("campaign trend: could not read {}: {e}", history.display());
-            return ExitCode::from(2);
-        }
-    };
-    for warning in &warnings {
-        eprintln!("campaign trend: warning: {}: {warning}", history.display());
-    }
-    let analysis = trend::analyze_history(&records, trend::DEFAULT_CUMULATIVE_THRESHOLD);
-    let report = trend::render_report(
-        &analysis,
-        &history,
-        records.len(),
-        warnings.len(),
-        trend::DEFAULT_CUMULATIVE_THRESHOLD,
-    );
-    print!("{report}");
-    if let Err(e) = charisma_bench::write_output(trend::TREND_REPORT_FILE, &report) {
-        eprintln!(
-            "campaign trend: could not write {}: {e}",
-            trend::TREND_REPORT_FILE
-        );
-    }
-    if analysis.series.is_empty() {
-        // Insufficient history is a healthy state, not an error: the ledger
-        // simply has not accumulated the runs the detector needs yet.
-        ExitCode::SUCCESS
-    } else if analysis.drifting().is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

@@ -27,7 +27,7 @@
 //! the resume instead.
 
 use crate::registry::{self, EntryKind, EntryReport};
-use crate::{write_output_to, BaselineWrite, BenchProfile};
+use crate::{write_output_to, BenchProfile};
 use charisma::spec::CampaignPoint;
 use charisma::{
     decode_replicated_result, encode_replicated_result, fnv1a_64, Json, ReplicatedResult,
@@ -417,7 +417,6 @@ pub fn run_entry_durable(
     name: &str,
     profile: BenchProfile,
     threads: usize,
-    baseline: BaselineWrite,
     opts: &DurableOptions,
 ) -> Result<EntryReport, DurableError> {
     let entry = registry::find(name).ok_or_else(|| {
@@ -431,7 +430,7 @@ pub fn run_entry_durable(
         EntryKind::Custom { .. } => {
             // Bespoke generators have no sweep shape to checkpoint; they run
             // to completion or not at all, which is already resume-safe.
-            return registry::run_entry(name, profile, baseline, &opts.results_dir)
+            return registry::run_entry(name, profile, &opts.results_dir)
                 .map_err(DurableError::Failure);
         }
     };
@@ -574,13 +573,12 @@ pub fn run_and_record_durable(
     run_names: &[String],
     profile: BenchProfile,
     threads: usize,
-    baseline: BaselineWrite,
     opts: &DurableOptions,
 ) -> Result<Vec<EntryReport>, DurableError> {
     let mut reports = Vec::new();
     let mut failure: Option<DurableError> = None;
     for name in run_names {
-        match run_entry_durable(name, profile, threads, baseline, opts) {
+        match run_entry_durable(name, profile, threads, opts) {
             Ok(report) => reports.push(report),
             Err(e) => {
                 failure = Some(e);

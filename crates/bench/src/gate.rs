@@ -1,501 +1,178 @@
-//! The benchmark regression gate: `campaign gate <entry>`.
+//! The campaign regression gate: `campaign gate <entry>`.
 //!
-//! The gate re-runs a registry entry and machine-compares the fresh results
-//! against the committed baseline under `results/`, emitting a pass/fail
-//! report CI can consume (exit 0 / nonzero).  Two entry shapes are gated:
+//! Every artifact the registry writes is a pure function of (entry,
+//! profile): the files are byte-identical across repeats, machines and sweep
+//! thread counts (`tests/determinism.rs`).  So the gate needs no tolerance.
+//! It runs the entry through the normal durable run path
+//! ([`run_entry_durable`]) into `results/GATE_fresh/<profile>/` (never a
+//! committed path) and compares every file the run wrote, byte for byte,
+//! against its committed copy: `results/quick/` for the quick profile,
+//! `results/` for the standard profile (no full-profile copies are
+//! committed).  A differing file fails the gate, and the report
+//! names the file and its first differing line.  An output with no committed
+//! copy is an error, never a skip.
 //!
-//! * **`bench_frame_loop`** — the committed perf baseline
-//!   `results/BENCH_frame_loop.json` (always a standard-profile record; the
-//!   gate refuses a baseline recorded under any other profile, which is the
-//!   symptom of an accidental overwrite).  The gate measures fresh
-//!   frames-per-second figures with several wall-clock repetitions and —
-//!   matching the baseline's own best-of-reps definition — fails a
-//!   combination only when its best fps, credited with the 95 % CI
-//!   half-width of the repetitions, still falls short of
-//!   `baseline * (1 - tolerance)`; timing noise alone cannot fail the gate.
-//!   The fresh record is written to `results/GATE_frame_loop.json` (never
-//!   the committed baseline path).
-//! * **Sweep campaigns** — any sweep entry whose primary CSV exists at the
-//!   baseline path (by default `results/<output>` for the standard profile
-//!   and `results/quick/<output>` for the quick profile the CI gate runs
-//!   under; see [`default_baseline_file`]).  The fresh run must reproduce
-//!   every row key —
-//!   coordinates *and* replication count, so a baseline generated under
-//!   different grids or a different replication policy (the usual symptoms
-//!   of a profile mismatch) is an error rather than a bogus comparison —
-//!   and each headline metric must agree within
-//!   `atol + rtol·|baseline| + ci95(baseline) + ci95(fresh)`, the
-//!   per-metric tolerance informed by both confidence intervals.
-//!
-//! All comparison logic is pure (string/number in, report out) so the
-//! regression tests drive it with synthetic baselines.
+//! Host-time performance is not gated here: the benchmark under
+//! `perfbench/`, driven by `BENCHMARK.json`, is the repository's one perf
+//! instrument.
 
-use crate::artifacts::{
-    bench_frame_loop_file, measure, mode_label, reference_config, BENCH_PROTOCOLS,
-};
-use crate::{output_dir, registry, write_output, BaselineWrite, BenchProfile};
-use charisma::radio::ChannelMode;
-use charisma::{CampaignRun, Json};
+use crate::checkpoint::{run_entry_durable, DurableOptions};
+use crate::{registry, BenchProfile};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::path::Path;
 
-/// Default allowed relative regression before the gate fails (30 %).
-pub const DEFAULT_TOLERANCE: f64 = 0.30;
-
-/// Wall-clock repetitions per (protocol, mode) in a gate measurement: enough
-/// for a Student-t interval over the fps samples without slowing CI.
-const GATE_FPS_REPS: u32 = 3;
-
-/// Absolute slack when comparing sweep metrics (absorbs CSV rounding: the
-/// renderer prints 6 decimals, so half a ULP of the last printed digit).
-const SWEEP_ATOL: f64 = 5e-7;
-
-/// One compared metric.
-#[derive(Debug, Clone)]
-pub struct GateCheck {
-    /// What was compared (e.g. `CHARISMA/lazy frames_per_second`).
-    pub metric: String,
-    /// The committed baseline value.
-    pub baseline: f64,
-    /// The freshly measured value (best-of-reps fps for the bench gate —
-    /// matching the baseline's definition — and a replication mean for
-    /// sweep gates).
-    pub fresh: f64,
-    /// The worst fresh value the gate would still accept.
-    pub allowed: f64,
-    /// Whether the check passed.
-    pub passed: bool,
+/// One gated output file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FileCheck {
+    /// The file name, the same under the committed and the fresh directory.
+    pub file: String,
+    /// `None` when the fresh bytes equal the committed ones; otherwise the
+    /// first differing line, committed against fresh.
+    pub difference: Option<String>,
 }
 
-impl fmt::Display for GateCheck {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<42} baseline {:>14.3}  fresh {:>14.3}  allowed {:>14.3}  {}",
-            self.metric,
-            self.baseline,
-            self.fresh,
-            self.allowed,
-            if self.passed { "ok" } else { "FAIL" }
-        )
+impl FileCheck {
+    /// Whether the fresh file is byte-identical to its committed copy.
+    pub fn passed(&self) -> bool {
+        self.difference.is_none()
     }
 }
 
-/// The outcome of one gate invocation.
+impl fmt::Display for FileCheck {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.difference {
+            None => write!(f, "{:<34} identical", self.file),
+            Some(difference) => write!(f, "{:<34} FAIL {difference}", self.file),
+        }
+    }
+}
+
+/// The outcome of gating one entry.
 #[derive(Debug)]
 pub struct GateReport {
-    /// The gated registry entry.
-    pub entry: String,
-    /// Every comparison performed.
-    pub checks: Vec<GateCheck>,
+    /// One check per file the entry wrote.
+    pub files: Vec<FileCheck>,
 }
 
 impl GateReport {
-    /// Whether every check passed.
+    /// Whether every file matched its committed copy.
     pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
+        self.files.iter().all(FileCheck::passed)
     }
 
-    /// Number of failed checks.
+    /// Number of files that differ from their committed copy.
     pub fn failures(&self) -> usize {
-        self.checks.iter().filter(|c| !c.passed).count()
+        self.files.iter().filter(|c| !c.passed()).count()
     }
 }
 
-// --- bench_frame_loop baseline --------------------------------------------
-
-/// One (protocol, mode) row of the committed frame-loop baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineRun {
-    /// Protocol label (e.g. `CHARISMA`).
-    pub protocol: String,
-    /// Channel mode label (`lazy` / `eager`).
-    pub mode: String,
-    /// Recorded frames per second.
-    pub frames_per_second: f64,
-}
-
-/// The parsed committed frame-loop baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchBaseline {
-    /// The profile the baseline was recorded under.
-    pub profile: String,
-    /// The recorded (protocol, mode) measurements.
-    pub runs: Vec<BaselineRun>,
-}
-
-/// Parses a `charisma.bench_frame_loop.v1` record.
-pub fn parse_bench_baseline(text: &str) -> Result<BenchBaseline, String> {
-    let json = Json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let schema = json.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != "charisma.bench_frame_loop.v1" {
-        return Err(format!(
-            "baseline schema is \"{schema}\", expected \"charisma.bench_frame_loop.v1\""
-        ));
+/// The first line at which `fresh` differs from `committed`, described with
+/// both versions; `None` when the bytes are equal.
+fn first_difference(committed: &[u8], fresh: &[u8]) -> Option<String> {
+    if committed == fresh {
+        return None;
     }
-    let profile = json
-        .get("profile")
-        .and_then(Json::as_str)
-        .ok_or("baseline is missing the \"profile\" field")?
-        .to_string();
-    let runs = json
-        .get("runs")
-        .and_then(Json::as_array)
-        .ok_or("baseline is missing the \"runs\" array")?
-        .iter()
-        .map(|r| {
-            Ok(BaselineRun {
-                protocol: r
-                    .get("protocol")
-                    .and_then(Json::as_str)
-                    .ok_or("baseline run is missing \"protocol\"")?
-                    .to_string(),
-                mode: r
-                    .get("mode")
-                    .and_then(Json::as_str)
-                    .ok_or("baseline run is missing \"mode\"")?
-                    .to_string(),
-                frames_per_second: r
-                    .get("frames_per_second")
-                    .and_then(Json::as_f64)
-                    .ok_or("baseline run is missing \"frames_per_second\"")?,
-            })
-        })
-        .collect::<Result<Vec<_>, &str>>()
-        .map_err(|e| e.to_string())?;
-    if runs.is_empty() {
-        return Err("baseline \"runs\" array is empty".into());
-    }
-    Ok(BenchBaseline { profile, runs })
-}
-
-/// Checks one fps figure against its baseline: the fresh figure (best-of-reps
-/// fps, like the baseline records), credited with the 95 % CI half-width of
-/// its repetitions, must reach `baseline * (1 - tolerance)`.
-pub fn check_fps(
-    metric: impl Into<String>,
-    baseline_fps: f64,
-    fresh_fps: f64,
-    fresh_ci95: f64,
-    tolerance: f64,
-) -> GateCheck {
-    let allowed = baseline_fps * (1.0 - tolerance);
-    GateCheck {
-        metric: metric.into(),
-        baseline: baseline_fps,
-        fresh: fresh_fps,
-        allowed,
-        passed: fresh_fps + fresh_ci95 >= allowed,
-    }
-}
-
-// --- sweep-campaign CSV comparison ----------------------------------------
-
-/// One parsed row of the uniform campaign CSV.
-#[derive(Debug, Clone)]
-struct CsvRow {
-    key: String,
-    metrics: [(f64, f64); 3], // (mean, ci95) per headline metric
-}
-
-/// The headline-metric column names, in CSV order.
-const METRIC_NAMES: [&str; 3] = [
-    "voice_loss_rate",
-    "data_throughput_per_frame",
-    "data_delay_s",
-];
-
-fn parse_campaign_csv(which: &str, text: &str) -> Result<Vec<CsvRow>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or_default();
-    if header != CampaignRun::CSV_HEADER {
-        return Err(format!(
-            "{which} CSV header does not match the current campaign schema \
-             (regenerate the baseline with `campaign run`): got \"{header}\""
-        ));
-    }
-    let mut rows = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 14 {
-            return Err(format!(
-                "{which} CSV row {} has {} fields, expected 14: \"{line}\"",
-                i + 2,
-                fields.len()
-            ));
-        }
-        let num = |idx: usize| -> Result<f64, String> {
-            fields[idx]
-                .parse::<f64>()
-                .map_err(|_| format!("{which} CSV row {}: bad number \"{}\"", i + 2, fields[idx]))
-        };
-        rows.push(CsvRow {
-            // Everything up to and including the replication count
-            // identifies the point: replications are deterministic for a
-            // given (campaign, profile), so a reps difference — like a grid
-            // difference — is the signature of comparing different
-            // profiles, not a metric regression.
-            key: fields[..8].join(","),
-            metrics: [
-                (num(8)?, num(9)?),
-                (num(10)?, num(11)?),
-                (num(12)?, num(13)?),
-            ],
-        });
-    }
-    Ok(rows)
-}
-
-/// Compares a fresh campaign CSV against a baseline CSV of the same schema.
-///
-/// Produces one [`GateCheck`] per headline metric, reporting the worst
-/// deviation relative to its allowance across all rows.  Errors (rather than
-/// failing checks) when the row sets differ — the signature of comparing
-/// runs from different profiles or grids.
-pub fn compare_campaign_csv(
-    baseline_csv: &str,
-    fresh_csv: &str,
-    tolerance: f64,
-) -> Result<Vec<GateCheck>, String> {
-    let baseline = parse_campaign_csv("baseline", baseline_csv)?;
-    let fresh = parse_campaign_csv("fresh", fresh_csv)?;
-    if baseline.len() != fresh.len() {
-        return Err(format!(
-            "baseline and fresh row sets differ ({} vs {} rows) — the baseline was \
-             generated with a different profile or grid; re-run `campaign run` at the \
-             gate's profile to refresh it",
-            baseline.len(),
-            fresh.len()
-        ));
-    }
-    if let Some((b, f)) = baseline.iter().zip(&fresh).find(|(b, f)| b.key != f.key) {
-        return Err(format!(
-            "baseline and fresh row sets differ: first divergence at baseline row \
-             \"{}\" vs fresh row \"{}\" (key = coordinates + replication count) — the \
-             baseline was generated with a different profile, grid or replication \
-             policy; re-run `campaign run` at the gate's profile to refresh it",
-            b.key, f.key
-        ));
-    }
-    let mut checks: Vec<GateCheck> = METRIC_NAMES
-        .iter()
-        .map(|name| GateCheck {
-            metric: format!("{name} (worst row: none out of tolerance)"),
-            baseline: 0.0,
-            fresh: 0.0,
-            allowed: 0.0,
-            passed: true,
-        })
-        .collect();
-    // Track the worst deviation-to-allowance ratio per metric.
-    let mut worst = [0.0f64; 3];
-    for (b, f) in baseline.iter().zip(&fresh) {
-        for m in 0..3 {
-            let (b_mean, b_ci) = b.metrics[m];
-            let (f_mean, f_ci) = f.metrics[m];
-            let allowance = SWEEP_ATOL + tolerance * b_mean.abs() + b_ci + f_ci;
-            let deviation = (f_mean - b_mean).abs();
-            let ratio = deviation / allowance;
-            if ratio > worst[m] {
-                worst[m] = ratio;
-                checks[m] = GateCheck {
-                    metric: format!("{} (worst row: {})", METRIC_NAMES[m], b.key),
-                    baseline: b_mean,
-                    fresh: f_mean,
-                    allowed: allowance,
-                    passed: deviation <= allowance,
-                };
+    let committed = String::from_utf8_lossy(committed);
+    let fresh = String::from_utf8_lossy(fresh);
+    let show = |line: Option<&str>| line.map_or("(no line)".to_string(), |l| format!("{l:?}"));
+    let (mut c, mut f) = (committed.split('\n'), fresh.split('\n'));
+    let mut number = 1;
+    loop {
+        match (c.next(), f.next()) {
+            (Some(a), Some(b)) if a == b => number += 1,
+            (a, b) => {
+                return Some(format!(
+                    "line {number}: committed {} | fresh {}",
+                    show(a),
+                    show(b)
+                ))
             }
         }
     }
-    Ok(checks)
 }
 
-// --- the gate driver ------------------------------------------------------
-
-/// Runs the gate for `name` and returns the report, or an infrastructure
-/// error (unknown entry, missing/corrupt baseline, profile mismatch).
+/// Gates `name` at `profile`: runs it into `results_dir/GATE_fresh/<profile>/`
+/// and compares every file it writes against its committed copy under
+/// `results_dir` (`quick/` for the quick profile, the directory itself for
+/// the standard profile).  Returns the report, or an error for an unknown
+/// entry, the full profile, a failed run or an output without a committed
+/// copy.
 pub fn run_gate(
     name: &str,
     profile: BenchProfile,
     threads: usize,
-    tolerance: f64,
-    baseline_override: Option<&Path>,
+    results_dir: &Path,
 ) -> Result<GateReport, String> {
-    if !(tolerance.is_finite() && (0.0..1.0).contains(&tolerance)) {
-        return Err(format!(
-            "gate tolerance must be a fraction in [0, 1), got {tolerance}"
-        ));
-    }
-    if name == "bench_frame_loop" {
-        return gate_bench_frame_loop(tolerance, baseline_override);
-    }
-    registry::find(name).ok_or_else(|| {
+    let entry = registry::find(name).ok_or_else(|| {
         format!(
             "unknown scenario \"{name}\" — registered scenarios: {}",
             registry::names().join(", ")
         )
     })?;
-    let campaign = registry::build_campaign(name, profile).ok_or_else(|| {
-        format!(
-            "\"{name}\" is a bespoke artifact without a gateable baseline \
-             (gateable: bench_frame_loop and every sweep campaign)"
-        )
-    })?;
-    let baseline_path = baseline_override
-        .map(Path::to_path_buf)
-        .or_else(|| default_baseline_file(name, profile))
-        .ok_or_else(|| format!("no default baseline location for \"{name}\""))?;
-    let baseline_csv = read_baseline(
-        &baseline_path,
-        &format!("campaign run {name} --profile {}", profile.label()),
-    )?;
-    println!(
-        "gate {name}: re-running {} sweep points [{} profile] against {}",
-        campaign
-            .expand(profile.budget())
-            .map(|p| p.len())
-            .unwrap_or(0),
-        profile.label(),
-        baseline_path.display()
-    );
-    let fresh = campaign
-        .run_replicated(profile.budget(), profile.replications(), threads)
-        .map_err(|e| e.to_string())?
-        .to_csv();
-    let checks = compare_campaign_csv(&baseline_csv, &fresh, tolerance)?;
-    Ok(GateReport {
-        entry: name.to_string(),
-        checks,
-    })
-}
-
-fn read_baseline(path: &Path, regenerate_hint: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| {
-        format!(
-            "missing baseline {}: {e} (regenerate it deliberately with `{regenerate_hint}`)",
-            path.display()
-        )
-    })
-}
-
-fn gate_bench_frame_loop(
-    tolerance: f64,
-    baseline_override: Option<&Path>,
-) -> Result<GateReport, String> {
-    let baseline_path = baseline_override.map(Path::to_path_buf).unwrap_or_else(|| {
-        output_dir().join(bench_frame_loop_file(
-            BenchProfile::Standard,
-            BaselineWrite::Allowed,
-        ))
-    });
-    let text = read_baseline(
-        &baseline_path,
-        "campaign run bench_frame_loop --profile standard",
-    )?;
-    let baseline =
-        parse_bench_baseline(&text).map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-    if baseline.profile != BenchProfile::Standard.label() {
-        return Err(format!(
-            "{}: baseline records profile \"{}\" but the committed baseline must be a \
-             standard-profile record — it was probably overwritten by a quick run; restore \
-             it from git or regenerate it deliberately with \
-             `campaign run bench_frame_loop --profile standard`",
-            baseline_path.display(),
-            baseline.profile
-        ));
-    }
-
-    println!(
-        "gate bench_frame_loop: fresh measurement of the standard reference scenario \
-         ({GATE_FPS_REPS} repetitions per combination) vs {}",
-        baseline_path.display()
-    );
-    // Always measure the scenario the baseline recorded (the standard
-    // reference config, ~0.2 s per repetition in release builds): comparing
-    // a shorter quick run against a standard baseline would fold the
-    // systematic warm-up amortisation difference into the tolerance budget
-    // and leave less headroom for real regressions.  `--profile` still
-    // selects the run length of sweep-entry gates.
-    let config = reference_config(BenchProfile::Standard);
-    let mut checks = Vec::new();
-    let mut fresh_rows = Vec::new();
-    for protocol in BENCH_PROTOCOLS {
-        for mode in [ChannelMode::Eager, ChannelMode::Lazy] {
-            let baseline_fps = baseline
-                .runs
-                .iter()
-                .find(|r| r.protocol == protocol.label() && r.mode == mode_label(mode))
-                .map(|r| r.frames_per_second)
-                .ok_or_else(|| {
-                    format!(
-                        "baseline has no run for {}/{}",
-                        protocol.label(),
-                        mode_label(mode)
-                    )
-                })?;
-            let m = measure(&config, protocol, mode, GATE_FPS_REPS);
-            // The baseline records best-of-reps fps, so compare best against
-            // best; the CI half-width of the per-repetition samples is
-            // credited on top so a noisy machine cannot fail the gate on its
-            // own.
-            checks.push(check_fps(
-                format!(
-                    "{}/{} frames_per_second",
-                    protocol.label(),
-                    mode_label(mode)
-                ),
-                baseline_fps,
-                m.frames_per_second,
-                m.fps.ci95_half_width(),
-                tolerance,
-            ));
-            fresh_rows.push(format!(
-                concat!(
-                    "    {{\"protocol\": \"{}\", \"mode\": \"{}\", \"reps\": {}, ",
-                    "\"fps_best\": {:.1}, \"fps_mean\": {:.1}, \"fps_ci95\": {:.1}, ",
-                    "\"baseline_fps\": {:.1}, \"passed\": {}}}"
-                ),
-                protocol.label(),
-                mode_label(mode),
-                m.reps,
-                m.frames_per_second,
-                m.fps.mean(),
-                m.fps.ci95_half_width(),
-                baseline_fps,
-                checks.last().map(|c| c.passed).unwrap_or(false)
-            ));
+    // Sweep grids, frame budgets and replication policies all depend on the
+    // profile, so each profile has its own committed tree.
+    let committed = match profile {
+        BenchProfile::Quick => results_dir.join("quick"),
+        BenchProfile::Standard => results_dir.to_path_buf(),
+        BenchProfile::Full => {
+            return Err("no full-profile copies are committed; \
+                        gate at the quick or standard profile"
+                .into())
+        }
+    };
+    let fresh = results_dir.join("GATE_fresh").join(profile.label());
+    // A stale copy from an earlier gate run must never stand in for an
+    // output this run failed to write.
+    for file in entry.outputs {
+        let path = fresh.join(file);
+        if path.exists() {
+            fs::remove_file(&path)
+                .map_err(|e| format!("could not remove stale {}: {e}", path.display()))?;
         }
     }
-    let report = GateReport {
-        entry: "bench_frame_loop".into(),
-        checks,
-    };
-    // A machine-readable record for CI artifacts; deliberately a different
-    // path and schema than the committed baseline, which the gate never
-    // touches.
-    let record = format!(
-        "{{\n  \"schema\": \"charisma.bench_gate.v1\",\n  \"profile\": \"{}\",\n  \
-         \"tolerance\": {tolerance},\n  \"passed\": {},\n  \"checks\": [\n{}\n  ]\n}}\n",
-        BenchProfile::Standard.label(),
-        report.passed(),
-        fresh_rows.join(",\n"),
+    println!(
+        "gate {name}: running [{} profile] into {}, comparing against {}",
+        profile.label(),
+        fresh.display(),
+        committed.display()
     );
-    write_output("GATE_frame_loop.json", &record).map_err(|e| e.to_string())?;
-    Ok(report)
+    let report = run_entry_durable(name, profile, threads, &DurableOptions::new(&fresh))
+        .map_err(|e| e.to_string())?;
+    let mut files = Vec::new();
+    for path in &report.outputs {
+        let file = path
+            .file_name()
+            .map(|f| f.to_string_lossy().into_owned())
+            .unwrap_or_else(|| path.display().to_string());
+        let committed_path = committed.join(&file);
+        let committed_bytes = fs::read(&committed_path).map_err(|e| {
+            format!(
+                "no committed copy of {file} ({}: {e}); generate it deliberately with \
+                 `campaign run {name} --profile {} --results-dir <dir>` and commit it to {}",
+                committed_path.display(),
+                profile.label(),
+                committed.display()
+            )
+        })?;
+        let fresh_bytes =
+            fs::read(path).map_err(|e| format!("could not read {}: {e}", path.display()))?;
+        files.push(FileCheck {
+            difference: first_difference(&committed_bytes, &fresh_bytes),
+            file,
+        });
+    }
+    Ok(GateReport { files })
 }
 
 /// How one entry fared in a [`run_gate_all`] sweep.
 #[derive(Debug)]
 pub enum GateOutcome {
-    /// The entry was gated and every check passed.
+    /// Every file matched its committed copy.
     Pass(GateReport),
-    /// The entry was gated and at least one check failed.
+    /// At least one file differs from its committed copy.
     Fail(GateReport),
-    /// The entry was not gateable here (no baseline, bespoke artifact,
-    /// non-uniform CSV schema); carries the reason.
-    Skipped(String),
-    /// Gating was attempted but hit an infrastructure error.
+    /// The gate could not compare (failed run, missing committed copy).
     Error(String),
 }
 
@@ -505,243 +182,141 @@ impl GateOutcome {
         match self {
             GateOutcome::Pass(_) => "PASS",
             GateOutcome::Fail(_) => "FAIL",
-            GateOutcome::Skipped(_) => "skip",
             GateOutcome::Error(_) => "ERROR",
         }
     }
 }
 
-/// Gates every registry entry that has a committed baseline in `results/`:
-/// `bench_frame_loop` against its committed perf record, and every sweep
-/// campaign whose primary CSV (in the uniform sweep schema) is present.
-/// Entries without a baseline, bespoke artifacts and non-uniform derived
-/// tables are reported as skipped, with the reason.
+/// Gates every registry entry, in registry order.
 pub fn run_gate_all(
     profile: BenchProfile,
     threads: usize,
-    tolerance: f64,
+    results_dir: &Path,
 ) -> Vec<(&'static str, GateOutcome)> {
-    let mut outcomes = Vec::new();
-    for entry in registry::entries() {
-        let name = entry.name;
-        let gateable_kind = name == "bench_frame_loop"
-            || registry::build_campaign(name, BenchProfile::Quick).is_some();
-        if !gateable_kind {
-            outcomes.push((
-                name,
-                GateOutcome::Skipped("bespoke artifact (not gateable)".into()),
-            ));
-            continue;
-        }
-        let baseline = default_baseline_file(name, profile).expect("known entry");
-        let text = match std::fs::read_to_string(&baseline) {
-            Ok(text) => text,
-            Err(_) => {
-                outcomes.push((
-                    name,
-                    GateOutcome::Skipped(format!("no committed baseline ({})", baseline.display())),
-                ));
-                continue;
-            }
-        };
-        // Derived tables (capacity_1pct.csv, qos_capacity.csv) are sweep
-        // entries whose primary output is not the uniform row schema the
-        // comparator understands; their underlying campaigns are covered by
-        // the fig11/fig12-shaped entries anyway.
-        if name != "bench_frame_loop"
-            && text.lines().next().unwrap_or_default() != CampaignRun::CSV_HEADER
-        {
-            outcomes.push((
-                name,
-                GateOutcome::Skipped(
-                    "baseline is a derived table, not the uniform sweep CSV".into(),
-                ),
-            ));
-            continue;
-        }
-        let outcome = match run_gate(name, profile, threads, tolerance, None) {
-            Ok(report) if report.passed() => GateOutcome::Pass(report),
-            Ok(report) => GateOutcome::Fail(report),
-            Err(e) => GateOutcome::Error(e),
-        };
-        outcomes.push((name, outcome));
-    }
-    outcomes
-}
-
-/// The gate's target for `name` at `profile`: what baseline file it
-/// compares against.
-///
-/// Sweep grids, frame budgets and replication policies all depend on the
-/// profile, so a fresh quick run can never be compared against a
-/// standard-profile CSV — the row sets differ by construction.  The
-/// committed baselines therefore live in per-profile trees: the canonical
-/// standard-profile CSVs directly under `results/`, and a quick-profile
-/// tree under `results/quick/` for the CI gate (regenerated together; see
-/// the handbook).  The frame-loop perf baseline is profile-independent
-/// here because the bench gate always measures the standard reference
-/// scenario regardless of `--profile`.
-pub fn default_baseline_file(name: &str, profile: BenchProfile) -> Option<PathBuf> {
-    if name == "bench_frame_loop" {
-        return Some(output_dir().join(bench_frame_loop_file(
-            BenchProfile::Standard,
-            BaselineWrite::Allowed,
-        )));
-    }
-    let dir = match profile {
-        BenchProfile::Quick => output_dir().join("quick"),
-        _ => output_dir(),
-    };
-    registry::find(name).map(|e| dir.join(e.outputs[0]))
+    registry::entries()
+        .into_iter()
+        .map(|entry| {
+            let outcome = match run_gate(entry.name, profile, threads, results_dir) {
+                Ok(report) if report.passed() => GateOutcome::Pass(report),
+                Ok(report) => GateOutcome::Fail(report),
+                Err(e) => GateOutcome::Error(e),
+            };
+            (entry.name, outcome)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
-    fn synthetic_baseline(profile: &str, charisma_lazy_fps: f64) -> String {
-        format!(
-            r#"{{
-  "schema": "charisma.bench_frame_loop.v1",
-  "profile": "{profile}",
-  "scenario": {{"num_voice": 60, "num_data": 10}},
-  "runs": [
-    {{"protocol": "CHARISMA", "mode": "eager", "reps": 3, "frames_per_second": 100000.0}},
-    {{"protocol": "CHARISMA", "mode": "lazy", "reps": 3, "frames_per_second": {charisma_lazy_fps}}},
-    {{"protocol": "D-TDMA/VR", "mode": "eager", "reps": 3, "frames_per_second": 110000.0}},
-    {{"protocol": "D-TDMA/VR", "mode": "lazy", "reps": 3, "frames_per_second": 450000.0}}
-  ]
-}}
-"#
-        )
+    /// The committed quick-profile tree of this checkout.
+    fn committed_quick() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/quick")
+    }
+
+    /// A fresh scratch results directory whose `quick/` tree holds copies of
+    /// the named committed quick-profile files.
+    fn results_with(tag: &str, files: &[&str]) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("charisma-gate-test-{}-{tag}", std::process::id()));
+        if dir.exists() {
+            fs::remove_dir_all(&dir).unwrap();
+        }
+        fs::create_dir_all(dir.join("quick")).unwrap();
+        for file in files {
+            fs::copy(committed_quick().join(file), dir.join("quick").join(file)).unwrap();
+        }
+        dir
     }
 
     #[test]
-    fn baseline_parses_and_rejects_wrong_schemas() {
-        let ok = parse_bench_baseline(&synthetic_baseline("standard", 300000.0)).unwrap();
-        assert_eq!(ok.profile, "standard");
-        assert_eq!(ok.runs.len(), 4);
-        assert_eq!(ok.runs[1].frames_per_second, 300000.0);
-
-        assert!(parse_bench_baseline("not json").is_err());
-        let wrong_schema = synthetic_baseline("standard", 1.0)
-            .replace("charisma.bench_frame_loop.v1", "charisma.other.v9");
-        let e = parse_bench_baseline(&wrong_schema).unwrap_err();
-        assert!(e.contains("schema"), "{e}");
-        let no_runs = r#"{"schema": "charisma.bench_frame_loop.v1", "profile": "standard",
-                          "runs": []}"#;
-        assert!(parse_bench_baseline(no_runs).is_err());
+    fn first_difference_names_the_first_differing_line() {
+        assert_eq!(first_difference(b"a\nb\n", b"a\nb\n"), None);
+        assert_eq!(
+            first_difference(b"a\nb,0.12\nc\n", b"a\nb,0.13\nc\n").unwrap(),
+            "line 2: committed \"b,0.12\" | fresh \"b,0.13\""
+        );
+        // A truncated or extended file differs at the first missing line.
+        assert_eq!(
+            first_difference(b"a\nb", b"a").unwrap(),
+            "line 2: committed \"b\" | fresh (no line)"
+        );
+        assert!(first_difference(b"a\n", b"a\nb\n")
+            .unwrap()
+            .starts_with("line 2:"));
     }
 
     #[test]
-    fn fps_check_tolerance_edge() {
-        // Exactly at the 30 % floor: passes.
-        let edge = check_fps("m", 100_000.0, 70_000.0, 0.0, 0.30);
-        assert!(edge.passed, "{edge}");
-        // Just below without CI slack: fails.
-        let below = check_fps("m", 100_000.0, 69_999.0, 0.0, 0.30);
-        assert!(!below.passed, "{below}");
-        // The same point passes once the CI half-width covers the gap —
-        // noise alone cannot fail the gate.
-        let noisy = check_fps("m", 100_000.0, 69_999.0, 5_000.0, 0.30);
-        assert!(noisy.passed, "{noisy}");
-        // A faster fresh run is never a failure.
-        assert!(check_fps("m", 100_000.0, 250_000.0, 0.0, 0.30).passed);
+    fn identical_bytes_pass() {
+        let dir = results_with("identical", &["fig7_abicm.csv"]);
+        let report = run_gate("fig7_abicm", BenchProfile::Quick, 1, &dir).unwrap();
+        assert!(report.passed(), "{report:?}");
+        assert_eq!(report.files.len(), 1);
+        assert_eq!(report.files[0].file, "fig7_abicm.csv");
+        assert!(dir.join("GATE_fresh/quick/fig7_abicm.csv").exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_changed_digit_fails_and_names_the_file_and_line() {
+        let dir = results_with("digit", &["fig7_abicm.csv"]);
+        let path = dir.join("quick/fig7_abicm.csv");
+        let text = fs::read_to_string(&path).unwrap();
+        // Line 5 is CSI = -17 dB: change its fixed-PHY error probability's
+        // last digit.
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let original = lines[4].clone();
+        let last = original.chars().last().unwrap();
+        let bumped = if last == '9' {
+            '8'
+        } else {
+            (last as u8 + 1) as char
+        };
+        lines[4] = format!("{}{bumped}", &original[..original.len() - 1]);
+        fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+
+        let report = run_gate("fig7_abicm", BenchProfile::Quick, 1, &dir).unwrap();
+        assert!(!report.passed());
+        assert_eq!(report.failures(), 1);
+        let shown = report.files[0].to_string();
+        assert!(shown.contains("fig7_abicm.csv"), "{shown}");
+        assert!(shown.contains("line 5:"), "{shown}");
+        assert!(shown.contains(&original), "{shown}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_output_without_a_committed_copy_is_an_error() {
+        // The committed tree holds other entries' files, but not this one's.
+        let dir = results_with("no-copy", &["fig5_fading.csv", "table1_parameters.csv"]);
+        let e = run_gate("fig7_abicm", BenchProfile::Quick, 1, &dir).unwrap_err();
+        assert!(e.contains("no committed copy of fig7_abicm.csv"), "{e}");
+        // The fresh file is still there to inspect or commit.
+        assert!(dir.join("GATE_fresh/quick/fig7_abicm.csv").exists());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn gate_errors_on_a_missing_baseline() {
-        let missing = Path::new("/nonexistent/definitely/missing/BENCH.json");
-        let e = run_gate(
-            "bench_frame_loop",
-            BenchProfile::Quick,
-            1,
-            DEFAULT_TOLERANCE,
-            Some(missing),
-        )
-        .unwrap_err();
-        assert!(e.contains("missing baseline"), "{e}");
-        assert!(e.contains("--profile standard"), "{e}");
+        let dir = results_with("missing", &[]);
+        fs::remove_dir_all(dir.join("quick")).unwrap();
+        let e = run_gate("table1", BenchProfile::Quick, 1, &dir).unwrap_err();
+        assert!(e.contains("table1_parameters.csv"), "{e}");
+        assert!(e.contains("campaign run table1 --profile quick"), "{e}");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn gate_refuses_a_non_standard_profile_baseline() {
-        let dir = std::env::temp_dir().join(format!(
-            "charisma-gate-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_frame_loop.json");
-        std::fs::write(&path, synthetic_baseline("quick", 300000.0)).unwrap();
-        let e = run_gate(
-            "bench_frame_loop",
-            BenchProfile::Quick,
-            1,
-            DEFAULT_TOLERANCE,
-            Some(&path),
-        )
-        .unwrap_err();
-        assert!(e.contains("profile \"quick\""), "{e}");
-        assert!(e.contains("standard-profile"), "{e}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gate_rejects_nonsense_tolerances_and_unknown_entries() {
-        for bad in [-0.1, 1.0, f64::NAN, f64::INFINITY] {
-            assert!(run_gate("bench_frame_loop", BenchProfile::Quick, 1, bad, None).is_err());
+    fn gate_rejects_unknown_entries_and_the_uncommitted_full_profile() {
+        let dir = Path::new("unused");
+        for name in ["fig99", "bench_frame_loop"] {
+            let e = run_gate(name, BenchProfile::Quick, 1, dir).unwrap_err();
+            assert!(e.contains(name), "{e}");
+            assert!(e.contains("fig11"), "error should list the registry: {e}");
         }
-        let e = run_gate("fig99", BenchProfile::Quick, 1, 0.3, None).unwrap_err();
-        assert!(e.contains("fig99"), "{e}");
-        let e = run_gate("table1", BenchProfile::Quick, 1, 0.3, None).unwrap_err();
-        assert!(e.contains("bespoke"), "{e}");
-    }
-
-    fn sweep_csv(rows: &[&str]) -> String {
-        let mut out = String::from(CampaignRun::CSV_HEADER);
-        out.push('\n');
-        for r in rows {
-            out.push_str(r);
-            out.push('\n');
-        }
-        out
-    }
-
-    #[test]
-    fn sweep_comparison_passes_on_identical_csv_and_fails_on_perturbation() {
-        let base = sweep_csv(&[
-            "fig11,CHARISMA,false,20,0,50.00,20,3,0.001000,0.000200,0.000000,0.000000,0.000000,0.000000",
-            "fig11,CHARISMA,false,60,0,50.00,60,3,0.012000,0.001000,0.000000,0.000000,0.000000,0.000000",
-        ]);
-        let same = compare_campaign_csv(&base, &base, 0.30).unwrap();
-        assert_eq!(same.len(), 3);
-        assert!(same.iter().all(|c| c.passed), "{same:?}");
-
-        // Perturb the second row's loss far beyond tolerance + both CIs.
-        let perturbed = base.replace("0.012000,0.001000", "0.050000,0.001000");
-        let checks = compare_campaign_csv(&base, &perturbed, 0.30).unwrap();
-        assert!(!checks[0].passed, "voice loss must fail: {checks:?}");
-        assert!(checks[1].passed && checks[2].passed);
-        assert!(checks[0].metric.contains("fig11,CHARISMA,false,60"));
-
-        // A deviation inside mean-tolerance + CI slack passes.
-        let wiggled = base.replace("0.012000,0.001000", "0.014000,0.001000");
-        let checks = compare_campaign_csv(&base, &wiggled, 0.30).unwrap();
-        assert!(checks[0].passed, "{checks:?}");
-    }
-
-    #[test]
-    fn sweep_comparison_errors_on_row_set_mismatch_and_bad_schema() {
-        let base =
-            sweep_csv(&["fig11,CHARISMA,false,20,0,50.00,20,3,0.001,0.0002,0.0,0.0,0.0,0.0"]);
-        let other =
-            sweep_csv(&["fig11,CHARISMA,false,40,0,50.00,40,3,0.001,0.0002,0.0,0.0,0.0,0.0"]);
-        let e = compare_campaign_csv(&base, &other, 0.3).unwrap_err();
-        assert!(e.contains("row sets differ"), "{e}");
-
-        let stale = "scenario,protocol,old_columns\nx,y,z\n";
-        let e = compare_campaign_csv(stale, &base, 0.3).unwrap_err();
-        assert!(e.contains("schema"), "{e}");
+        let e = run_gate("table1", BenchProfile::Full, 1, dir).unwrap_err();
+        assert!(e.contains("no full-profile copies"), "{e}");
     }
 }

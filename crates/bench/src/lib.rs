@@ -5,14 +5,15 @@
 //! [`Campaign`](charisma::Campaign) of
 //! [`ScenarioSpec`](charisma::ScenarioSpec)s for the sweep-shaped
 //! experiments, or a bespoke generator ([`artifacts`]) for the handful that
-//! are not sweeps (the parameter table, the fading trace, the PHY curves and
-//! the frame-loop perf benchmark).  One binary drives them all:
+//! are not sweeps (the parameter table, the fading trace and the PHY
+//! curves).  One binary drives them all:
 //!
 //! ```text
 //! cargo run --release -p charisma_bench --bin campaign -- list
 //! cargo run --release -p charisma_bench --bin campaign -- describe fig11
 //! cargo run --release -p charisma_bench --bin campaign -- run fig11 --profile quick
 //! cargo run --release -p charisma_bench --bin campaign -- run all --profile full
+//! cargo run --release -p charisma_bench --bin campaign -- gate all --profile quick
 //! ```
 //!
 //! Each run prints aligned text tables (the rows/series the paper reports),
@@ -35,26 +36,6 @@ pub mod artifacts;
 pub mod checkpoint;
 pub mod gate;
 pub mod registry;
-pub mod trend;
-
-/// Whether a run may refresh committed baseline files under `results/`.
-///
-/// The committed frame-loop baseline (`results/BENCH_frame_loop.json`) is
-/// the reference the CI regression gate compares against, so regenerating it
-/// must be a deliberate act: only an **explicitly named** standard-profile
-/// run (`campaign run bench_frame_loop --profile standard`) writes it.
-/// Bulk runs (`campaign run all`) and non-standard profiles are routed to
-/// untracked sidecar files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BaselineWrite {
-    /// The entry was named explicitly: a standard-profile run refreshes the
-    /// committed baseline.
-    Allowed,
-    /// The entry runs as part of a bulk `run all`: baseline output is routed
-    /// to an untracked sidecar file so the committed baseline can never be
-    /// clobbered incidentally.
-    Sidecar,
-}
 
 /// How long each sweep point simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,19 +80,14 @@ impl BenchProfile {
 
     /// Reads the profile from `CHARISMA_BENCH_PROFILE` (unset: `standard`).
     ///
-    /// # Panics
-    ///
-    /// Panics with the valid choices if the variable is set to an
-    /// unrecognised value, so a typo like `CHARISMA_BENCH_PROFILE=ful` fails
-    /// loudly instead of silently running the standard profile.
-    pub fn from_env() -> Self {
+    /// A value that is set but unrecognised is an error listing the valid
+    /// choices, so a typo like `CHARISMA_BENCH_PROFILE=ful` fails loudly
+    /// instead of silently running the standard profile.
+    pub fn from_env() -> Result<Self, String> {
         match std::env::var("CHARISMA_BENCH_PROFILE") {
-            Err(std::env::VarError::NotPresent) => BenchProfile::Standard,
-            Err(e) => panic!("CHARISMA_BENCH_PROFILE is not valid unicode: {e}"),
-            Ok(value) => match Self::parse(&value) {
-                Ok(profile) => profile,
-                Err(e) => panic!("CHARISMA_BENCH_PROFILE: {e}"),
-            },
+            Err(std::env::VarError::NotPresent) => Ok(BenchProfile::Standard),
+            Err(e) => Err(format!("CHARISMA_BENCH_PROFILE is not valid unicode: {e}")),
+            Ok(value) => Self::parse(&value).map_err(|e| format!("CHARISMA_BENCH_PROFILE: {e}")),
         }
     }
 
@@ -192,23 +168,17 @@ pub fn output_dir() -> PathBuf {
     dir.to_path_buf()
 }
 
-/// Writes an arbitrary text artifact (e.g. a JSON report) under
-/// [`output_dir`]; returns the path written.
+/// Writes a text artifact (e.g. a JSON report) into a results directory
+/// (created on demand); returns the path written.
 ///
 /// Unlike [`write_csv`] (whose CSVs are redundant with the printed tables),
 /// this propagates write failures: callers persisting a record that CI
-/// uploads must fail loudly rather than let a stale checked-in file
-/// masquerade as the run's output.
-pub fn write_output(name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    write_output_to(&output_dir(), name, contents)
-}
-
-/// [`write_output`] into an explicit results directory (created on demand).
-///
-/// The durable campaign runner ([`checkpoint`]) renders artifacts into the
-/// directory its [`checkpoint::DurableOptions`] names — `results/` for real
-/// runs, scratch directories for the fault-injection tests and the CI resume
-/// smoke test — so everything that writes files takes the directory as data.
+/// uploads must fail loudly rather than let a stale file masquerade as the
+/// run's output.  The durable campaign runner ([`checkpoint`]) renders
+/// artifacts into the directory its [`checkpoint::DurableOptions`] names —
+/// `results/` for real runs, scratch directories for the fault-injection
+/// tests and the CI resume smoke test — so everything that writes files
+/// takes the directory as data.
 pub fn write_output_to(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let path = dir.join(name);

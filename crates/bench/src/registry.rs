@@ -10,7 +10,7 @@
 //! builds the provenance manifest (`results/MANIFEST.json`) and the
 //! generated section of the reproduction handbook (`EXPERIMENTS.md`).
 
-use crate::{artifacts, fig11_voice_counts, fig12_data_counts, BaselineWrite, BenchProfile};
+use crate::{artifacts, fig11_voice_counts, fig12_data_counts, BenchProfile};
 use charisma::metrics::capacity_at_threshold;
 use charisma::radio::SpeedProfile;
 use charisma::spec::{Axis, DurationSpec, QueueToggle, RampSpec, ScenarioSpec};
@@ -40,10 +40,8 @@ pub enum EntryKind {
     /// A bespoke artifact generator (no sweep shape).
     Custom {
         /// Runs the generator, writing into the given results directory;
-        /// returns the files it wrote.  The [`BaselineWrite`] context tells
-        /// it whether committed baseline files may be refreshed (explicit
-        /// run) or must be routed to sidecars (bulk `run all`).
-        run: fn(BenchProfile, BaselineWrite, &Path) -> Vec<PathBuf>,
+        /// returns the files it wrote.
+        run: fn(BenchProfile, &Path) -> Vec<PathBuf>,
     },
 }
 
@@ -1042,24 +1040,6 @@ pub fn entries() -> Vec<Entry> {
             },
         },
         Entry {
-            name: "bench_frame_loop",
-            title: "frame-loop throughput benchmark",
-            paper: "performance trajectory (not a paper artifact)",
-            details: "Runs the reference 60-voice + 10-data scenario under CHARISMA and \
-                      D-TDMA/VR with both the eager channel baseline and the lazy hot path, and \
-                      records wall-clock frames per second plus the lazy/eager speedup.  Only \
-                      an explicitly named standard-profile run writes the committed baseline \
-                      results/BENCH_frame_loop.json; quick/full runs and `run all` go to \
-                      untracked sidecar files, and `campaign gate bench_frame_loop` compares a \
-                      fresh run against the committed baseline (the CI regression gate).",
-            outputs: &["BENCH_frame_loop.json"],
-            columns: "JSON, schema charisma.bench_frame_loop.v1",
-            runtime: "quick ≈ 1 s, standard/full ≈ 5 s (release build, one core)",
-            kind: EntryKind::Custom {
-                run: artifacts::run_bench_frame_loop,
-            },
-        },
-        Entry {
             name: "mixed_mobility",
             title: "heterogeneous pedestrian/vehicular cell",
             paper: "beyond the paper (uses the paper's §5.1 axes)",
@@ -1210,7 +1190,6 @@ pub fn build_campaign(name: &str, profile: BenchProfile) -> Option<Campaign> {
 pub fn run_entry(
     name: &str,
     profile: BenchProfile,
-    baseline: BaselineWrite,
     results_dir: &Path,
 ) -> Result<EntryReport, String> {
     let entry = find(name).ok_or_else(|| {
@@ -1230,7 +1209,7 @@ pub fn run_entry(
         entry.title,
         profile.label()
     );
-    let outputs = run(profile, baseline, results_dir);
+    let outputs = run(profile, results_dir);
     Ok(EntryReport {
         name: entry.name,
         points: 0,
@@ -1381,12 +1360,10 @@ pub fn handbook_document() -> String {
          \n\
          The campaign CSVs report each metric as a mean with its 95 % Student-t\n\
          confidence half-width.  Unrecognised profile values are an error.\n\
-         `campaign gate <name>` re-runs an entry and compares it against its\n\
-         committed baseline under `results/` (the CI benchmark regression gate);\n\
-         `campaign gate all` gates every entry with a committed baseline and prints\n\
-         a one-line pass/fail summary table.  Every gate run appends its checks to\n\
-         the append-only ledger `results/BENCH_history.jsonl`, and `campaign trend`\n\
-         reads the ledger back to flag slow drift the per-run tolerance cannot see.\n\
+         `campaign gate <name>` re-runs an entry and compares every file it writes,\n\
+         byte for byte, against its committed copy under `results/` (`results/quick/`\n\
+         for the quick profile); `campaign gate all` gates every entry and prints a\n\
+         one-line pass/fail summary table.\n\
          \n\
          Sweep runs are durable: each completed point is appended to the entry's\n\
          checkpoint manifest `results/.checkpoint/<entry>.jsonl`, an interrupted\n\
@@ -1486,7 +1463,6 @@ mod tests {
             "qos_capacity",
             "speed_sweep",
             "ablation_csi",
-            "bench_frame_loop",
             "mixed_mobility",
             "load_ramp",
             "data_heavy",
@@ -1552,7 +1528,7 @@ mod tests {
     #[test]
     fn unknown_entries_error_with_the_valid_names() {
         let dir = Path::new("unused");
-        let e = run_entry("fig99", BenchProfile::Quick, BaselineWrite::Allowed, dir).unwrap_err();
+        let e = run_entry("fig99", BenchProfile::Quick, dir).unwrap_err();
         assert!(e.contains("fig99"));
         assert!(e.contains("fig11"), "error should list the registry: {e}");
     }

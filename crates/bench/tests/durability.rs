@@ -18,7 +18,7 @@
 use charisma_bench::checkpoint::{
     checkpoint_path, run_and_record_durable, run_entry_durable, DurableError, DurableOptions,
 };
-use charisma_bench::{output_dir, BaselineWrite, BenchProfile};
+use charisma_bench::{output_dir, BenchProfile};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -47,14 +47,8 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn run_clean(dir: &Path, threads: usize) {
     let opts = DurableOptions::new(dir);
-    run_and_record_durable(
-        &[ENTRY.to_string()],
-        BenchProfile::Quick,
-        threads,
-        BaselineWrite::Sidecar,
-        &opts,
-    )
-    .expect("clean durable run must succeed");
+    run_and_record_durable(&[ENTRY.to_string()], BenchProfile::Quick, threads, &opts)
+        .expect("clean durable run must succeed");
 }
 
 fn read_artifacts(dir: &Path) -> Vec<(String, Vec<u8>)> {
@@ -96,13 +90,8 @@ fn interrupt_and_resume(fault: u64, threads: usize) {
     let dir = scratch(&format!("fault{fault}-t{threads}"));
     let mut opts = DurableOptions::new(&dir);
     opts.fault_point = Some(fault);
-    let interrupted = run_and_record_durable(
-        &[ENTRY.to_string()],
-        BenchProfile::Quick,
-        threads,
-        BaselineWrite::Sidecar,
-        &opts,
-    );
+    let interrupted =
+        run_and_record_durable(&[ENTRY.to_string()], BenchProfile::Quick, threads, &opts);
     match interrupted {
         Err(DurableError::Aborted {
             completed, total, ..
@@ -114,14 +103,8 @@ fn interrupt_and_resume(fault: u64, threads: usize) {
             );
             let mut resume = DurableOptions::new(&dir);
             resume.resume = true;
-            run_and_record_durable(
-                &[ENTRY.to_string()],
-                BenchProfile::Quick,
-                threads,
-                BaselineWrite::Sidecar,
-                &resume,
-            )
-            .expect("resume of a valid checkpoint must succeed");
+            run_and_record_durable(&[ENTRY.to_string()], BenchProfile::Quick, threads, &resume)
+                .expect("resume of a valid checkpoint must succeed");
         }
         // With several sweep workers the points already in flight when the
         // fault fires still complete; a fault injected near n can therefore
@@ -198,14 +181,8 @@ fn faulted_checkpoint_line_set() -> &'static Vec<u8> {
         let dir = scratch("tamper-source");
         let mut opts = DurableOptions::new(&dir);
         opts.fault_point = Some(2);
-        let err = run_and_record_durable(
-            &[ENTRY.to_string()],
-            BenchProfile::Quick,
-            1,
-            BaselineWrite::Sidecar,
-            &opts,
-        )
-        .expect_err("fault after 2 of 12 points must abort");
+        let err = run_and_record_durable(&[ENTRY.to_string()], BenchProfile::Quick, 1, &opts)
+            .expect_err("fault after 2 of 12 points must abort");
         assert!(matches!(err, DurableError::Aborted { .. }), "{err}");
         let bytes = fs::read(checkpoint_path(&dir, ENTRY)).unwrap();
         fs::remove_dir_all(&dir).ok();
@@ -223,14 +200,8 @@ fn resume_with_checkpoint(tag: &str, bytes: &[u8]) -> Result<(), DurableError> {
     opts.resume = true;
     // The tampered checkpoints are refused before any simulation starts, so
     // even at the quick profile these are instant.
-    let outcome = run_and_record_durable(
-        &[ENTRY.to_string()],
-        BenchProfile::Quick,
-        1,
-        BaselineWrite::Sidecar,
-        &opts,
-    )
-    .map(|_| ());
+    let outcome =
+        run_and_record_durable(&[ENTRY.to_string()], BenchProfile::Quick, 1, &opts).map(|_| ());
     fs::remove_dir_all(&dir).ok();
     outcome
 }
@@ -240,14 +211,8 @@ fn resume_without_a_checkpoint_is_refused() {
     let dir = scratch("no-checkpoint");
     let mut opts = DurableOptions::new(&dir);
     opts.resume = true;
-    let err = run_and_record_durable(
-        &[ENTRY.to_string()],
-        BenchProfile::Quick,
-        1,
-        BaselineWrite::Sidecar,
-        &opts,
-    )
-    .expect_err("resume with no checkpoint must refuse");
+    let err = run_and_record_durable(&[ENTRY.to_string()], BenchProfile::Quick, 1, &opts)
+        .expect_err("resume with no checkpoint must refuse");
     assert!(matches!(err, DurableError::Mismatch(_)), "{err}");
     assert_eq!(err.exit_code(), 2);
     fs::remove_dir_all(&dir).ok();
@@ -273,14 +238,8 @@ fn resume_under_a_different_profile_is_refused() {
     fs::write(&path, faulted_checkpoint_line_set()).unwrap();
     let mut opts = DurableOptions::new(&dir);
     opts.resume = true;
-    let err = run_and_record_durable(
-        &[ENTRY.to_string()],
-        BenchProfile::Standard,
-        1,
-        BaselineWrite::Sidecar,
-        &opts,
-    )
-    .expect_err("a quick-profile checkpoint must refuse a standard-profile resume");
+    let err = run_and_record_durable(&[ENTRY.to_string()], BenchProfile::Standard, 1, &opts)
+        .expect_err("a quick-profile checkpoint must refuse a standard-profile resume");
     assert!(matches!(err, DurableError::Mismatch(_)), "{err}");
     assert!(err.to_string().contains("profile"), "{err}");
     fs::remove_dir_all(&dir).ok();
@@ -327,14 +286,8 @@ fn torn_final_record_is_dropped_and_the_resume_still_matches() {
     fs::write(&path, torn).unwrap();
     let mut opts = DurableOptions::new(&dir);
     opts.resume = true;
-    run_and_record_durable(
-        &[ENTRY.to_string()],
-        BenchProfile::Quick,
-        1,
-        BaselineWrite::Sidecar,
-        &opts,
-    )
-    .expect("a torn tail is dropped, not fatal");
+    run_and_record_durable(&[ENTRY.to_string()], BenchProfile::Quick, 1, &opts)
+        .expect("a torn tail is dropped, not fatal");
     for ((name, clean), (_, resumed)) in clean_reference(1).iter().zip(read_artifacts(&dir)) {
         assert!(
             *clean == resumed,
@@ -380,9 +333,8 @@ fn custom_entries_write_only_into_the_results_dir() {
         ("fig5_fading", "fig5_fading.csv"),
         ("fig7_abicm", "fig7_abicm.csv"),
     ] {
-        let report =
-            run_entry_durable(entry, BenchProfile::Quick, 1, BaselineWrite::Sidecar, &opts)
-                .unwrap_or_else(|e| panic!("{entry}: {e}"));
+        let report = run_entry_durable(entry, BenchProfile::Quick, 1, &opts)
+            .unwrap_or_else(|e| panic!("{entry}: {e}"));
         assert_eq!(report.outputs, vec![dir.join(file)], "{entry}");
         assert!(fs::metadata(dir.join(file)).unwrap().len() > 0, "{entry}");
     }

@@ -23,11 +23,9 @@
 pub mod capacity;
 pub mod counters;
 pub mod stats;
-pub mod trend;
 
 pub use capacity::{capacity_at_threshold, crossing_load};
 pub use counters::{
     CellCounters, ContentionStats, DataStats, HandoffStats, RunMetrics, SlotStats, VoiceStats,
 };
 pub use stats::{student_t_975, RepsAccumulator, RunningStat};
-pub use trend::{detect_drift, DriftKind, DriftReport};

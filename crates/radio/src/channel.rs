@@ -18,9 +18,12 @@ use serde::{Deserialize, Serialize};
 pub enum ChannelMode {
     /// Advance every terminal's channel at every frame boundary and recompute
     /// the SNR at every query.  This reproduces the pre-optimisation hot path
-    /// (two `exp` calls per terminal per frame plus repeated dB conversions)
-    /// and is retained as the baseline the `bench_frame_loop` benchmark
-    /// measures speedups against.
+    /// (two `exp` calls per terminal per frame plus repeated dB conversions).
+    /// It is retained for exact channel pairing: every protocol then sees
+    /// the same fading draws, which lazy evaluation does not promise (see
+    /// `charisma_des::rng`).  Scenario specs select it with
+    /// `"channel_mode": "eager"` (`charisma::spec`), and the lazy-path
+    /// oracle tests compare against it.
     Eager,
     /// Advance a terminal's channel only when its SNR is actually sampled,
     /// coalescing all frames since the last sample into one AR(1) step, and
@@ -131,8 +134,8 @@ impl CombinedChannel {
     /// Advances the channel to `t` exactly as the pre-optimisation simulator
     /// did: one uncached AR(1) step over the elapsed interval, recomputing
     /// the `exp`/`sqrt` step coefficients on every call.  Used by
-    /// [`ChannelMode::Eager`] runs so the frame-loop benchmark has a faithful
-    /// "before" baseline to measure against.
+    /// [`ChannelMode::Eager`] runs, which step every channel every frame for
+    /// exact channel pairing across protocols.
     pub fn advance_to_eager(&mut self, t: SimTime) {
         assert!(
             t >= self.now,
