@@ -154,8 +154,13 @@ fn describe(args: &[String]) -> ExitCode {
                     );
                 }
             }
-            let budget = BenchProfile::Standard.budget();
-            let points = campaign.expand(budget).map(|p| p.len()).unwrap_or(0);
+            let points = match campaign.expand(BenchProfile::Standard.budget()) {
+                Ok(points) => points.len(),
+                Err(e) => {
+                    eprintln!("campaign describe: {name}: {e}");
+                    return ExitCode::from(2);
+                }
+            };
             println!("sweep points (standard profile): {points}");
             println!();
             println!("spec (standard-profile grids):");

@@ -10,13 +10,15 @@
 //! `results/` for the standard profile (no full-profile copies are
 //! committed).  A differing file fails the gate, and the report
 //! names the file and its first differing line.  An output with no committed
-//! copy is an error, never a skip.
+//! copy is an error, never a skip.  A gate run is never resumed, so the
+//! gate deletes the entry's checkpoint manifest once the run has written its
+//! outputs.
 //!
 //! Host-time performance is not gated here: the benchmark under
 //! `perfbench/`, driven by `BENCHMARK.json`, is the repository's one perf
 //! instrument.
 
-use crate::checkpoint::{run_entry_durable, DurableOptions};
+use crate::checkpoint::{checkpoint_dir, checkpoint_path, run_entry_durable, DurableOptions};
 use crate::{registry, BenchProfile};
 use std::fmt;
 use std::fs;
@@ -139,6 +141,16 @@ pub fn run_gate(
     );
     let report = run_entry_durable(name, profile, threads, &DurableOptions::new(&fresh))
         .map_err(|e| e.to_string())?;
+    // A gate run is never resumed, so its checkpoint is dead weight.
+    let checkpoint = checkpoint_path(&fresh, name);
+    match fs::remove_file(&checkpoint) {
+        Ok(()) => {
+            // Only succeeds once the last entry's checkpoint is gone.
+            fs::remove_dir(checkpoint_dir(&fresh)).ok();
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(format!("could not remove {}: {e}", checkpoint.display())),
+    }
     let mut files = Vec::new();
     for path in &report.outputs {
         let file = path
@@ -256,6 +268,18 @@ mod tests {
         assert_eq!(report.files.len(), 1);
         assert_eq!(report.files[0].file, "fig7_abicm.csv");
         assert!(dir.join("GATE_fresh/quick/fig7_abicm.csv").exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_gated_sweep_leaves_its_outputs_and_no_checkpoint() {
+        let dir = results_with("sweep", &["speed_sweep.csv"]);
+        let report = run_gate("speed_sweep", BenchProfile::Quick, 1, &dir).unwrap();
+        assert!(report.passed(), "{report:?}");
+        let fresh = dir.join("GATE_fresh/quick");
+        assert!(fresh.join("speed_sweep.csv").exists());
+        assert!(!checkpoint_path(&fresh, "speed_sweep").exists());
+        assert!(!checkpoint_dir(&fresh).exists());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -283,7 +283,7 @@ mod tests {
             BenchProfile::Standard,
             BenchProfile::Full,
         ] {
-            base_config(p).validate();
+            base_config(p).validate().unwrap();
         }
     }
 }

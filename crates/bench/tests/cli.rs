@@ -1,5 +1,6 @@
 //! The `campaign` binary rejects bad input with exit 2 and a message naming
-//! the valid choices, instead of panicking.
+//! the valid choices, instead of panicking, and `describe` prints a spec
+//! block that parses as JSON.
 //!
 //! Each case spawns the built binary with its own environment, so nothing
 //! here sets a process-global variable in the test process.  The binary runs
@@ -51,4 +52,21 @@ fn gating_an_unknown_entry_exits_2_with_the_registry() {
         None,
     );
     assert_usage_error(&output, &["unknown scenario \"bench_frame_loop\"", "fig11"]);
+}
+
+#[test]
+fn describe_prints_a_spec_block_that_parses_as_json() {
+    let output = campaign("describe", &["describe", "fig11"], None);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let (_, spec) = stdout
+        .split_once("spec (standard-profile grids):\n")
+        .unwrap_or_else(|| panic!("no spec block in: {stdout}"));
+    let json = charisma::Json::parse(spec).unwrap_or_else(|e| panic!("{e}: {spec}"));
+    assert_eq!(json.get("name"), Some(&charisma::Json::Str("fig11".into())));
 }

@@ -6,8 +6,8 @@
 //! at 1 and 4 sweep threads; each interrupted run is resumed and its primary
 //! CSV, handoff CSV and MANIFEST.json are compared byte-for-byte against a
 //! clean run at the same thread count.  A second family of tests tampers
-//! with a real checkpoint — stale revision, wrong profile, unknown record
-//! keys, missing file — and asserts the resume *refuses* (the CLI's exit 2)
+//! with a real checkpoint — stale revision, changed spec, wrong profile,
+//! unknown record keys, missing file — and asserts the resume *refuses* (the CLI's exit 2)
 //! rather than silently mixing incompatible runs, while a torn final record
 //! (a kill mid-append) is dropped and recomputed.
 //!
@@ -258,6 +258,30 @@ fn resume_with_an_unknown_record_key_is_refused() {
         .expect_err("a record with an unknown key must refuse to resume");
     assert!(matches!(err, DurableError::Mismatch(_)), "{err}");
     assert!(err.to_string().contains("unknown key"), "{err}");
+}
+
+#[test]
+fn resume_after_a_spec_field_changed_is_refused() {
+    // A checkpoint written by the same entry under a spec that differed in
+    // one field carries that spec's campaign hash.
+    let charisma_bench::registry::EntryKind::Sweep { build, .. } =
+        charisma_bench::registry::find(ENTRY).unwrap().kind
+    else {
+        panic!("{ENTRY} is a sweep entry");
+    };
+    let campaign_hash = |c: &charisma::Campaign| {
+        format!("{:016x}", charisma::fnv1a_64(c.to_json_string().as_bytes()))
+    };
+    let current = build(BenchProfile::Quick);
+    let mut changed = current.clone();
+    changed.specs[0].handoff.hysteresis_m += 1.0;
+    let text = String::from_utf8(faulted_checkpoint_line_set().clone()).unwrap();
+    let stale = text.replacen(&campaign_hash(&current), &campaign_hash(&changed), 1);
+    assert_ne!(stale, text, "header must carry the campaign hash");
+    let err = resume_with_checkpoint("changed-spec", stale.as_bytes())
+        .expect_err("a checkpoint of a different spec must refuse to resume");
+    assert!(matches!(err, DurableError::Mismatch(_)), "{err}");
+    assert!(err.to_string().contains("campaign hash"), "{err}");
 }
 
 #[test]

@@ -214,54 +214,6 @@ impl Campaign {
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string()
     }
-
-    /// Decodes a campaign from JSON, rejecting unknown keys and validating
-    /// the result.
-    pub fn from_json(value: &Json) -> Result<Self, SpecError> {
-        let pairs = value.as_object().ok_or_else(|| {
-            SpecError(format!(
-                "campaign must be an object, got {}",
-                value.type_name()
-            ))
-        })?;
-        let mut name: Option<String> = None;
-        let mut specs = Vec::new();
-        for (key, v) in pairs {
-            match key.as_str() {
-                "name" => {
-                    name = Some(
-                        v.as_str()
-                            .ok_or_else(|| SpecError("campaign \"name\" must be a string".into()))?
-                            .to_string(),
-                    );
-                }
-                "scenarios" => {
-                    let items = v.as_array().ok_or_else(|| {
-                        SpecError("campaign \"scenarios\" must be an array".into())
-                    })?;
-                    specs = items
-                        .iter()
-                        .map(ScenarioSpec::from_json)
-                        .collect::<Result<Vec<_>, _>>()?;
-                }
-                unknown => {
-                    return Err(SpecError(format!("unknown key \"{unknown}\" in campaign")));
-                }
-            }
-        }
-        let campaign = Campaign {
-            name: name.ok_or_else(|| SpecError("campaign is missing \"name\"".into()))?,
-            specs,
-        };
-        campaign.validate()?;
-        Ok(campaign)
-    }
-
-    /// Decodes a campaign from JSON text (see [`Campaign::from_json`]).
-    pub fn from_json_str(text: &str) -> Result<Self, SpecError> {
-        let value = Json::parse(text).map_err(|e| SpecError(e.to_string()))?;
-        Self::from_json(&value)
-    }
 }
 
 /// One executed campaign point with its coordinates and full report.
@@ -524,20 +476,32 @@ mod tests {
 
     #[test]
     fn campaign_json_round_trips() {
+        // The campaign bytes (the checkpoint's hash input) are the name and
+        // each spec's own encoding, and survive the JSON parser and printer
+        // unchanged.
         let campaign = tiny_campaign();
         let text = campaign.to_json_string();
-        let back = Campaign::from_json_str(&text).unwrap();
-        assert_eq!(back, campaign);
-        assert_eq!(back.to_json_string(), text);
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.to_string(), text);
+        assert_eq!(parsed.get("name"), Some(&Json::Str("tiny-campaign".into())));
+        assert_eq!(
+            parsed.get("scenarios"),
+            Some(&Json::Array(vec![campaign.specs[0].to_json()]))
+        );
     }
 
     #[test]
-    fn campaign_rejects_duplicate_spec_names_and_unknown_keys() {
+    fn campaign_rejects_duplicate_spec_names_and_empty_campaigns() {
         let mut campaign = tiny_campaign();
         campaign.specs.push(campaign.specs[0].clone());
-        assert!(campaign.validate().is_err());
-        assert!(Campaign::from_json_str(r#"{"name": "x", "extra": 1}"#).is_err());
-        assert!(Campaign::from_json_str(r#"{"name": "x", "scenarios": []}"#).is_err());
+        let e = campaign.validate().unwrap_err();
+        assert!(e.to_string().contains("two specs named \"tiny\""), "{e}");
+        let e = Campaign::new("x").validate().unwrap_err();
+        assert!(e.to_string().contains("no scenario specs"), "{e}");
+        let e = Campaign::new("")
+            .with_spec(ScenarioSpec::new("s"))
+            .validate();
+        assert!(e.is_err());
     }
 
     #[test]

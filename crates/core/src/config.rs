@@ -16,6 +16,28 @@ use charisma_radio::{
 };
 use charisma_traffic::{DataSourceConfig, VoiceSourceConfig};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// The first rule an invalid configuration breaks, as a readable message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError(pub String);
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `Ok` when `rule` holds, otherwise the error `message` describes.
+fn check(rule: bool, message: impl FnOnce() -> String) -> Result<(), ConfigError> {
+    if rule {
+        Ok(())
+    } else {
+        Err(ConfigError(message()))
+    }
+}
 
 /// Static frame-structure parameters shared by the six protocols.
 ///
@@ -85,39 +107,32 @@ impl FrameStructure {
     }
 
     /// Validates internal consistency; called by [`SimConfig::validate`].
-    pub fn validate(&self) {
-        assert!(
-            self.info_slots > 0,
-            "at least one information slot is required"
-        );
-        assert!(
-            self.subslots_per_slot > 0,
-            "at least one sub-slot per slot is required"
-        );
-        assert!(
-            self.request_slots > 0,
-            "at least one request slot is required"
-        );
-        assert!(
-            self.request_slots >= self.info_slots,
-            "the paper requires N_r (request slots) >= N_i (information slots)"
-        );
-        assert!(
-            self.rama_auction_slots > 0,
-            "RAMA needs at least one auction slot"
-        );
-        assert!(
-            self.drma_info_slots > 0 && self.drma_minislots > 0,
-            "DRMA slot counts must be positive"
-        );
-        assert!(
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(self.info_slots > 0, || {
+            "at least one information slot is required".into()
+        })?;
+        check(self.subslots_per_slot > 0, || {
+            "at least one sub-slot per slot is required".into()
+        })?;
+        check(self.request_slots > 0, || {
+            "at least one request slot is required".into()
+        })?;
+        check(self.request_slots >= self.info_slots, || {
+            "the paper requires N_r (request slots) >= N_i (information slots)".into()
+        })?;
+        check(self.rama_auction_slots > 0, || {
+            "RAMA needs at least one auction slot".into()
+        })?;
+        check(self.drma_info_slots > 0 && self.drma_minislots > 0, || {
+            "DRMA slot counts must be positive".into()
+        })?;
+        check(
             self.rmav_info_slots > 0 && self.rmav_max_data_slots > 0,
-            "RMAV slot counts must be positive"
-        );
-        assert!(
-            !self.frame_duration.is_zero(),
-            "frame duration must be non-zero"
-        );
+            || "RMAV slot counts must be positive".into(),
+        )?;
+        check(!self.frame_duration.is_zero(), || {
+            "frame duration must be non-zero".into()
+        })
     }
 }
 
@@ -181,23 +196,19 @@ impl Default for CharismaParams {
 
 impl CharismaParams {
     /// Validates parameter ranges.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.beta_voice),
-            "beta_voice must be in (0,1)"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.beta_data),
-            "beta_data must be in (0,1)"
-        );
-        assert!(
-            self.voice_offset >= 0.0,
-            "voice offset must be non-negative"
-        );
-        assert!(
-            self.max_data_packets_per_grant > 0,
-            "data grant cap must be positive"
-        );
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check((0.0..1.0).contains(&self.beta_voice), || {
+            "beta_voice must be in (0,1)".into()
+        })?;
+        check((0.0..1.0).contains(&self.beta_data), || {
+            "beta_data must be in (0,1)".into()
+        })?;
+        check(self.voice_offset >= 0.0, || {
+            "voice offset must be non-negative".into()
+        })?;
+        check(self.max_data_packets_per_grant > 0, || {
+            "data grant cap must be positive".into()
+        })
     }
 }
 
@@ -255,12 +266,11 @@ impl Layout {
     }
 
     /// Validates the layout.
-    pub fn validate(&self) {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         let r = self.cell_radius_m();
-        assert!(
-            r.is_finite() && r > 0.0,
-            "cell radius must be positive and finite, got {r}"
-        );
+        check(r.is_finite() && r > 0.0, || {
+            format!("cell radius must be positive and finite, got {r}")
+        })
     }
 }
 
@@ -314,23 +324,20 @@ impl Default for HandoffConfig {
 impl HandoffConfig {
     /// Validates the parameters (`per_cell` is the initial per-cell terminal
     /// population, which a finite capacity must accommodate).
-    pub fn validate(&self, per_cell: u32) {
-        assert!(
-            self.retry_frames > 0,
-            "handoff retry_frames must be positive"
-        );
-        assert!(
-            self.hysteresis_m.is_finite() && self.hysteresis_m >= 0.0,
-            "handoff hysteresis must be finite and non-negative, got {}",
-            self.hysteresis_m
-        );
-        if self.cell_capacity != 0 {
-            assert!(
-                self.cell_capacity >= per_cell,
-                "cell_capacity ({}) is below the initial per-cell population ({per_cell})",
-                self.cell_capacity
-            );
-        }
+    pub fn validate(&self, per_cell: u32) -> Result<(), ConfigError> {
+        check(self.retry_frames > 0, || {
+            "handoff retry_frames must be positive".into()
+        })?;
+        let hysteresis = self.hysteresis_m;
+        check(hysteresis.is_finite() && hysteresis >= 0.0, || {
+            format!("handoff hysteresis must be finite and non-negative, got {hysteresis}")
+        })?;
+        let capacity = self.cell_capacity;
+        check(capacity == 0 || capacity >= per_cell, || {
+            format!(
+                "cell_capacity ({capacity}) is below the initial per-cell population ({per_cell})"
+            )
+        })
     }
 }
 
@@ -377,11 +384,13 @@ impl SystemConfig {
 
     /// Validates the system configuration (`per_cell` is the initial
     /// per-cell terminal population).
-    pub fn validate(&self, per_cell: u32) {
-        assert!(self.cells >= 1, "a system needs at least one cell");
-        self.layout.validate();
-        self.handoff.validate(per_cell);
-        self.path_loss.validate();
+    pub fn validate(&self, per_cell: u32) -> Result<(), ConfigError> {
+        check(self.cells >= 1, || {
+            "a system needs at least one cell".into()
+        })?;
+        self.layout.validate()?;
+        self.handoff.validate(per_cell)?;
+        self.path_loss.validate().map_err(ConfigError)
     }
 }
 
@@ -516,48 +525,71 @@ impl SimConfig {
         }
     }
 
-    /// Validates the configuration, panicking with a descriptive message on
-    /// the first inconsistency.  Called by the scenario builder before a run.
-    pub fn validate(&self) {
-        self.frame.validate();
-        self.charisma.validate();
-        assert!(
-            (0.0..=1.0).contains(&self.contention.pv),
-            "pv must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.contention.pd),
-            "pd must be a probability"
-        );
-        assert!(self.measured_frames > 0, "measured_frames must be positive");
-        assert!(
-            self.request_queue_capacity > 0,
-            "request queue capacity must be positive"
-        );
-        assert!(
-            self.num_voice as u64 + self.num_data as u64 > 0,
-            "a scenario needs at least one terminal"
-        );
+    /// Validates the configuration, returning the first rule it breaks.
+    /// [`crate::Scenario::new`] and [`crate::SystemWorld::new`] panic with
+    /// that message; [`crate::ScenarioSpec::expand`] returns it for every
+    /// expanded point, so a bad campaign fails before any simulation runs.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.frame.validate()?;
+        self.charisma.validate()?;
+        check((0.0..=1.0).contains(&self.contention.pv), || {
+            "pv must be a probability".into()
+        })?;
+        check((0.0..=1.0).contains(&self.contention.pd), || {
+            "pd must be a probability".into()
+        })?;
+        check(self.measured_frames > 0, || {
+            "measured_frames must be positive".into()
+        })?;
+        check(self.request_queue_capacity > 0, || {
+            "request queue capacity must be positive".into()
+        })?;
+        let per_cell = self.num_voice as u64 + self.num_data as u64;
+        check(per_cell > 0, || {
+            "a scenario needs at least one terminal".into()
+        })?;
+        // The DOMAIN_PROTOCOL entity space is split between terminals (upper
+        // half, mirrored indices) and cells (counting down from u32::MAX):
+        // the two sub-ranges stay disjoint while population + cells fits in
+        // 2^31 (see the stream-derivation table in ARCHITECTURE.md).  A
+        // single-cell run counts its one implicit cell.  The bound also keeps
+        // every terminal index of the run representable as a `u32`.
+        let cells = self.system.map_or(1, |system| system.cells as u64);
+        check(cells * per_cell + cells <= 0x8000_0000, || {
+            format!(
+                "terminal population ({cells} cells x {per_cell}) + cell count must not \
+                 exceed 2^31, to keep DOMAIN_PROTOCOL speed streams and cell streams disjoint"
+            )
+        })?;
+        check_speed_profile(&self.speed)?;
         if let Some(ramp) = &self.ramp {
-            assert!(
-                ramp.initial_voice <= self.num_voice,
-                "ramp initial_voice ({}) must not exceed num_voice ({})",
-                ramp.initial_voice,
-                self.num_voice
-            );
-            assert!(
-                ramp.activation_frame <= self.total_frames(),
-                "ramp activation_frame ({}) is beyond the run ({} frames)",
-                ramp.activation_frame,
-                self.total_frames()
-            );
+            check(ramp.initial_voice <= self.num_voice, || {
+                format!(
+                    "ramp initial_voice ({}) must not exceed num_voice ({})",
+                    ramp.initial_voice, self.num_voice
+                )
+            })?;
+            check(ramp.activation_frame <= self.total_frames(), || {
+                format!(
+                    "ramp activation_frame ({}) is beyond the run ({} frames)",
+                    ramp.activation_frame,
+                    self.total_frames()
+                )
+            })?;
         }
         if let Some(system) = &self.system {
-            system.validate(self.num_voice + self.num_data);
+            // Fits: the population bound above holds.
+            system.validate(per_cell as u32)?;
         }
         // The voice packet period must be a whole number of frames, otherwise
         // the isochronous schedule cannot be honoured.
-        let _ = self.clock().frames_per(self.voice_source.packet_period);
+        let period = self.voice_source.packet_period;
+        check((period % self.frame.frame_duration).is_zero(), || {
+            format!(
+                "voice packet period {period} is not a whole number of frames ({})",
+                self.frame.frame_duration
+            )
+        })
     }
 
     /// A down-scaled configuration for fast unit/integration tests: fewer
@@ -571,6 +603,38 @@ impl SimConfig {
             measured_frames: 4_000,
             speed: SpeedProfile::Fixed(50.0),
             ..Self::default_paper()
+        }
+    }
+}
+
+/// Rejects speed profiles with non-finite or negative values up front (the
+/// radio layer's own assertions would otherwise only fire mid-run, and a NaN
+/// would serialise as invalid JSON in the manifest).
+pub(crate) fn check_speed_profile(speed: &SpeedProfile) -> Result<(), ConfigError> {
+    let finite_nonneg = |field: &str, v: f64| {
+        check(v.is_finite() && v >= 0.0, || {
+            format!("speed profile field \"{field}\" must be finite and non-negative, got {v}")
+        })
+    };
+    match *speed {
+        SpeedProfile::Fixed(kmh) => finite_nonneg("kmh", kmh),
+        SpeedProfile::Uniform { min_kmh, max_kmh } => {
+            finite_nonneg("min_kmh", min_kmh)?;
+            finite_nonneg("max_kmh", max_kmh)?;
+            check(min_kmh <= max_kmh, || {
+                format!("speed range [{min_kmh}, {max_kmh}] is reversed")
+            })
+        }
+        SpeedProfile::Bimodal {
+            slow_kmh,
+            fast_kmh,
+            fraction_fast,
+        } => {
+            finite_nonneg("slow_kmh", slow_kmh)?;
+            finite_nonneg("fast_kmh", fast_kmh)?;
+            check((0.0..=1.0).contains(&fraction_fast), || {
+                format!("fraction_fast must be a probability, got {fraction_fast}")
+            })
         }
     }
 }
@@ -642,7 +706,7 @@ mod tests {
     #[test]
     fn paper_default_is_internally_consistent() {
         let cfg = SimConfig::default_paper();
-        cfg.validate();
+        cfg.validate().unwrap();
         assert_eq!(cfg.clock().frames_per(cfg.voice_source.packet_period), 8);
         assert_eq!(cfg.total_frames(), 44_000);
     }
@@ -673,7 +737,7 @@ mod tests {
         let mut cfg = SimConfig::default_paper();
         cfg.frame.request_slots = 1;
         cfg.frame.info_slots = 3;
-        cfg.validate();
+        crate::Scenario::new(cfg);
     }
 
     #[test]
@@ -682,7 +746,7 @@ mod tests {
         let mut cfg = SimConfig::default_paper();
         cfg.num_voice = 0;
         cfg.num_data = 0;
-        cfg.validate();
+        crate::Scenario::new(cfg);
     }
 
     #[test]
@@ -690,7 +754,7 @@ mod tests {
     fn validation_rejects_bad_forgetting_factor() {
         let mut cfg = SimConfig::default_paper();
         cfg.charisma.beta_voice = 1.5;
-        cfg.validate();
+        crate::Scenario::new(cfg);
     }
 
     #[test]
@@ -701,7 +765,7 @@ mod tests {
             initial_voice: cfg.num_voice + 1,
             activation_frame: 100,
         });
-        cfg.validate();
+        crate::Scenario::new(cfg);
     }
 
     #[test]
@@ -712,7 +776,7 @@ mod tests {
             initial_voice: 10,
             activation_frame: cfg.total_frames() + 1,
         });
-        cfg.validate();
+        crate::Scenario::new(cfg);
     }
 
     #[test]
@@ -747,7 +811,7 @@ mod tests {
     fn system_config_validates_and_rejects_bad_shapes() {
         let mut cfg = SimConfig::default_paper();
         cfg.system = Some(SystemConfig::new(7));
-        cfg.validate();
+        cfg.validate().unwrap();
         assert_eq!(cfg.system.unwrap().layout.cell_radius_m(), 400.0);
     }
 
@@ -756,7 +820,7 @@ mod tests {
     fn zero_cell_system_is_rejected() {
         let mut cfg = SimConfig::default_paper();
         cfg.system = Some(SystemConfig::new(0));
-        cfg.validate();
+        crate::Scenario::new(cfg);
     }
 
     #[test]
@@ -766,7 +830,7 @@ mod tests {
         let mut system = SystemConfig::new(3);
         system.layout = Layout::Line { cell_radius_m: 0.0 };
         cfg.system = Some(system);
-        cfg.validate();
+        crate::Scenario::new(cfg);
     }
 
     #[test]
@@ -776,13 +840,34 @@ mod tests {
         let mut system = SystemConfig::new(3);
         system.handoff.cell_capacity = 10;
         cfg.system = Some(system);
-        cfg.validate();
+        crate::Scenario::new(cfg);
+    }
+
+    #[test]
+    fn population_bound_is_checked_in_u64_for_systems_and_single_cells() {
+        // cells * (Nv + Nd) + cells <= 2^31: 127 * 16_909_319 + 127 sits
+        // 8 below the bound, one more terminal per cell crosses it.
+        let mut cfg = SimConfig::default_paper();
+        cfg.num_voice = 16_909_319;
+        cfg.num_data = 0;
+        cfg.system = Some(SystemConfig::new(127));
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.num_voice += 1;
+        let e = cfg.validate().unwrap_err();
+        assert!(e.to_string().contains("2^31"), "{e}");
+        // A single cell counts its one implicit cell; the u32 sum
+        // Nv + Nd would wrap here.
+        let mut single = SimConfig::default_paper();
+        single.num_voice = u32::MAX;
+        single.num_data = 1;
+        let e = single.validate().unwrap_err();
+        assert!(e.to_string().contains("2^31"), "{e}");
     }
 
     #[test]
     fn quick_test_config_is_valid_and_small() {
         let cfg = SimConfig::quick_test();
-        cfg.validate();
+        cfg.validate().unwrap();
         assert!(cfg.total_frames() < 10_000);
     }
 

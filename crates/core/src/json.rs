@@ -103,15 +103,6 @@ impl Json {
         }
     }
 
-    /// The value as an `f64` (accepts both number representations).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(n) => Some(*n as f64),
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -672,8 +663,7 @@ mod tests {
         let v =
             Json::parse("{\"n\": 3, \"f\": 2.5, \"s\": \"x\", \"b\": true, \"a\": []}").unwrap();
         assert_eq!(v.get("n").and_then(Json::as_u64), Some(3));
-        assert_eq!(v.get("n").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(v.get("f").and_then(Json::as_f64), Some(2.5));
+        assert_eq!(v.get("f"), Some(&Json::Num(2.5)));
         assert_eq!(v.get("f").and_then(Json::as_u64), None);
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(v.get("b").and_then(Json::as_bool), Some(true));

@@ -65,8 +65,8 @@ pub use campaign::{Campaign, CampaignRow, CampaignRun};
 pub use cell::Cell;
 pub use columns::{TerminalColumns, TrafficTotals};
 pub use config::{
-    CharismaParams, ContentionConfig, FrameStructure, HandoffAdmission, HandoffConfig, Layout,
-    LoadRamp, SimConfig, SystemConfig,
+    CharismaParams, ConfigError, ContentionConfig, FrameStructure, HandoffAdmission, HandoffConfig,
+    Layout, LoadRamp, SimConfig, SystemConfig,
 };
 pub use json::Json;
 pub use persist::{decode_replicated_result, encode_replicated_result, fnv1a_64, PersistError};

@@ -80,7 +80,7 @@ const URGENCY_CLAMP: usize = 64;
 impl Charisma {
     /// Builds CHARISMA for a scenario configuration.
     pub fn new(config: &SimConfig) -> Self {
-        config.charisma.validate();
+        config.charisma.validate().unwrap_or_else(|e| panic!("{e}"));
         let p = &config.charisma;
         // The tables hold exactly the products the priority formula used to
         // compute inline (same operations, same order), so tabulation changes

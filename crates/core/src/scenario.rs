@@ -4,12 +4,12 @@
 use crate::cell::Cell;
 use crate::columns::TerminalColumns;
 use crate::config::SimConfig;
-use crate::protocols::{ProtocolKind, UplinkMac};
+use crate::protocols::ProtocolKind;
 use crate::system::SystemWorld;
 use crate::terminal::{FrameTraffic, Terminal};
 use charisma_des::RngStreams;
 use charisma_metrics::RunMetrics;
-use charisma_traffic::{TerminalClass, TerminalId};
+use charisma_traffic::TerminalId;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of one simulation run.
@@ -88,54 +88,19 @@ pub struct Scenario {
 
 impl Scenario {
     /// Creates a scenario after validating the configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SimConfig::validate`] message when the
+    /// configuration is invalid.
     pub fn new(config: SimConfig) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         Scenario { config }
     }
 
     /// The scenario configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Builds the terminal population: voice terminals first (ids
-    /// `0..num_voice`), then data terminals.  Identical across protocols for
-    /// a given seed — the "common simulation platform" property.  Traffic
-    /// sample paths (talkspurts, data bursts) are draw-for-draw identical
-    /// across protocols; under the default lazy channel evaluation the
-    /// fading paths are statistically equivalent but their realised draws
-    /// depend on when each protocol samples the SNR (use
-    /// `ChannelMode::Eager` for exact channel pairing).
-    fn build_terminals(&self, streams: &RngStreams) -> Vec<Terminal> {
-        let clock = self.config.clock();
-        (0..self.config.num_voice + self.config.num_data)
-            .map(|i| {
-                let class = if i < self.config.num_voice {
-                    TerminalClass::Voice
-                } else {
-                    TerminalClass::Data
-                };
-                let mut terminal = Terminal::new(
-                    TerminalId(i),
-                    class,
-                    clock,
-                    self.config.voice_source,
-                    self.config.data_source,
-                    self.config.channel,
-                    self.config.channel_mode,
-                    &self.config.speed,
-                    streams,
-                );
-                // A load ramp keeps the tail of the voice population dormant
-                // until its activation frame (see [`crate::config::LoadRamp`]).
-                if let Some(ramp) = &self.config.ramp {
-                    if class == TerminalClass::Voice && i >= ramp.initial_voice {
-                        terminal.set_active_from_frame(ramp.activation_frame);
-                    }
-                }
-                terminal
-            })
-            .collect()
     }
 
     /// Runs the scenario under the given protocol and returns the report.
@@ -148,48 +113,37 @@ impl Scenario {
         if self.config.system.is_some() {
             return SystemWorld::new(self.config.clone(), protocol).run();
         }
-        let mut mac = protocol.build(&self.config);
-        self.run_with(mac.as_mut())
-    }
-
-    /// Runs the single-cell scenario with an externally constructed protocol
-    /// instance (useful for ablations that tweak protocol internals).
-    /// Multi-cell configurations need one MAC instance per cell — use
-    /// [`Scenario::run`].
-    pub fn run_with(&self, mac: &mut dyn UplinkMac) -> RunReport {
         let config = &self.config;
-        assert!(
-            config.system.is_none(),
-            "run_with drives the single-cell loop; multi-cell configs go through Scenario::run"
-        );
-        // The DOMAIN_PROTOCOL entity space is split between terminals
-        // (upper half, mirrored indices) and cells (counting down from
-        // u32::MAX): the two sub-ranges stay disjoint as long as the
-        // population plus the cell count fits below 2^31 (see the
-        // stream-derivation table in ARCHITECTURE.md).  The strict bound
-        // leaves room for this loop's single implicit cell.
-        debug_assert!(
-            config.num_voice as u64 + (config.num_data as u64) < 0x8000_0000,
-            "terminal population + cell count must stay below 2^31 to keep \
-             DOMAIN_PROTOCOL speed streams and cell streams disjoint"
-        );
+        let mut mac = protocol.build(config);
+        let mac = mac.as_mut();
         let streams = RngStreams::new(config.seed);
-        let terminals = self.build_terminals(&streams);
+        // The terminal population: voice terminals first (ids
+        // `0..num_voice`), then data terminals.  Identical across protocols
+        // for a given seed — the "common simulation platform" property.
+        // Traffic sample paths (talkspurts, data bursts) are draw-for-draw
+        // identical across protocols; under the default lazy channel
+        // evaluation the fading paths are statistically equivalent but their
+        // realised draws depend on when each protocol samples the SNR (use
+        // `ChannelMode::Eager` for exact channel pairing).  Each construction
+        // record goes straight into the structure-of-arrays store the frame
+        // loop sweeps over.
+        let population = config.num_voice + config.num_data;
+        let mut columns = TerminalColumns::with_capacity(
+            config.clock(),
+            config.channel_mode,
+            population as usize,
+        );
+        for i in 0..population {
+            columns.push(Terminal::from_config(config, TerminalId(i), i, &streams));
+        }
         // The implicit single cell: every terminal attached, cell index 0
         // (which derives the historical estimator / base-station streams).
         let mut cell = Cell::new(
             config,
             &streams,
             0,
-            terminals.iter().map(|t| t.id()).collect(),
+            (0..population).map(TerminalId).collect(),
         );
-        // Decompose the construction records into the structure-of-arrays
-        // store the frame loop sweeps over.
-        let mut columns =
-            TerminalColumns::with_capacity(config.clock(), config.channel_mode, terminals.len());
-        for terminal in terminals {
-            columns.push(terminal);
-        }
 
         let mut traffic: Vec<FrameTraffic> = vec![FrameTraffic::default(); columns.len()];
         let total = config.total_frames();

@@ -3,25 +3,30 @@
 //! A [`ScenarioSpec`] is a *named bundle of overrides* on
 //! [`SimConfig`]: which protocols to run, the
 //! voice/data user grids, the speed profile, the channel mode, the run
-//! length, the seed.  Specs are pure data — they serialise to JSON (strictly:
-//! unknown keys and malformed grids are rejected, see [`ScenarioSpec::from_json`])
-//! and expand into the [`SweepPoint`]s that the
-//! existing deterministic parallel sweep executor runs.  Every experiment of
-//! the paper's evaluation, plus scenarios the paper never plotted, is
-//! expressed this way in the benchmark registry (`charisma_bench::registry`)
-//! instead of as a hand-rolled loop in its own binary.
+//! length, the seed.  Specs are pure data built in Rust — every experiment
+//! of the paper's evaluation, plus scenarios the paper never plotted, is one
+//! in the benchmark registry (`charisma_bench::registry`) instead of a
+//! hand-rolled loop in its own binary.  A spec expands into the
+//! [`SweepPoint`]s that the deterministic parallel sweep executor runs, and
+//! every expanded point's [`SimConfig`] is validated on the way, so a bad
+//! spec fails before any simulation starts.
+//!
+//! Specs are encode-only: [`ScenarioSpec::to_json`] writes every field, in a
+//! fixed order, into the run manifest, the `campaign describe` output and
+//! the checkpoint's campaign hash.  Nothing decodes them.
 //!
 //! ```
 //! use charisma::spec::{Axis, FrameBudget, ScenarioSpec};
+//! use charisma::Json;
 //!
 //! let mut spec = ScenarioSpec::new("example");
 //! spec.axis = Axis::VoiceUsers;
 //! spec.voice_users = vec![10, 20];
 //! spec.data_users = vec![0, 5];
 //!
-//! // The spec round-trips through JSON byte-for-byte…
+//! // The spec encodes to deterministic JSON bytes…
 //! let json = spec.to_json_string();
-//! assert_eq!(ScenarioSpec::from_json_str(&json).unwrap(), spec);
+//! assert_eq!(Json::parse(&json).unwrap().to_string(), json);
 //!
 //! // …and expands into one sweep point per (protocol, grid) combination.
 //! let points = spec
@@ -30,7 +35,9 @@
 //! assert_eq!(points.len(), 6 * 2 * 2); // 6 protocols x 2 Nd x 2 Nv
 //! ```
 
-use crate::config::{HandoffAdmission, HandoffConfig, Layout, LoadRamp, SimConfig, SystemConfig};
+use crate::config::{
+    check_speed_profile, HandoffAdmission, HandoffConfig, Layout, LoadRamp, SimConfig, SystemConfig,
+};
 use crate::json::Json;
 use crate::protocols::ProtocolKind;
 use crate::sweep::{ReplicationPolicy, SweepPoint};
@@ -38,7 +45,9 @@ use charisma_radio::{ChannelMode, PathLossConfig, SpeedProfile};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// An invalid scenario specification (bad grid, unknown key, malformed JSON).
+/// An invalid scenario specification: a spec-shape rule it breaks (bad grid,
+/// protocol set or replication policy), or the first expanded point whose
+/// [`SimConfig`] is invalid, named by scenario and point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError(pub String);
 
@@ -79,19 +88,6 @@ impl Axis {
             Axis::Single => "single",
         }
     }
-
-    /// Parses the JSON encoding.
-    pub fn from_str_strict(s: &str) -> Result<Self, SpecError> {
-        match s {
-            "voice_users" => Ok(Axis::VoiceUsers),
-            "data_users" => Ok(Axis::DataUsers),
-            "speed_kmh" => Ok(Axis::SpeedKmh),
-            "single" => Ok(Axis::Single),
-            other => Err(err(format!(
-                "unknown axis \"{other}\" (valid: voice_users, data_users, speed_kmh, single)"
-            ))),
-        }
-    }
 }
 
 /// Which request-queue variants (Section 4.5 of the paper) a spec covers.
@@ -121,18 +117,6 @@ impl QueueToggle {
             QueueToggle::Off => "off",
             QueueToggle::On => "on",
             QueueToggle::Both => "both",
-        }
-    }
-
-    /// Parses the JSON encoding.
-    pub fn from_str_strict(s: &str) -> Result<Self, SpecError> {
-        match s {
-            "off" => Ok(QueueToggle::Off),
-            "on" => Ok(QueueToggle::On),
-            "both" => Ok(QueueToggle::Both),
-            other => Err(err(format!(
-                "unknown request_queue \"{other}\" (valid: off, on, both)"
-            ))),
         }
     }
 }
@@ -277,7 +261,12 @@ impl ScenarioSpec {
         self.seed.unwrap_or_else(|| SimConfig::default_paper().seed)
     }
 
-    /// Validates the spec without expanding it.
+    /// Validates the spec's own shape without expanding it: name, protocol
+    /// set, grids, the (0, 0) cell, queue support, replication policy and the
+    /// multi-cell settings.  The rules every run configuration obeys live in
+    /// [`SimConfig::validate`], which [`ScenarioSpec::expand`] applies to
+    /// each expanded point (and this to the speed profile a speed axis
+    /// leaves unused).
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.name.is_empty() {
             return Err(err("scenario name must not be empty"));
@@ -293,32 +282,25 @@ impl ScenarioSpec {
                 return Err(err(format!("{}: duplicate protocol {p}", self.name)));
             }
         }
-        check_grid_u32(&self.name, "voice_users", &self.voice_users)?;
-        check_grid_u32(&self.name, "data_users", &self.data_users)?;
-        check_speed_profile(&self.name, &self.speed)?;
+        check_grid(&self.name, "voice_users", &self.voice_users)?;
+        check_grid(&self.name, "data_users", &self.data_users)?;
         if self.axis == Axis::SpeedKmh {
-            check_grid_f64(&self.name, "speed_grid_kmh", &self.speed_grid_kmh)?;
+            check_grid(&self.name, "speed_grid_kmh", &self.speed_grid_kmh)?;
+            // Expansion replaces `speed`, so no point checks it, but the
+            // encoder still writes it into the manifest.
+            check_speed_profile(&self.speed).map_err(|e| err(format!("{}: {e}", self.name)))?;
         } else if !self.speed_grid_kmh.is_empty() {
             return Err(err(format!(
                 "{}: speed_grid_kmh is only valid with axis \"speed_kmh\"",
                 self.name
             )));
         }
-        let min_voice = *self.voice_users.first().expect("non-empty grid");
-        let min_data = *self.data_users.first().expect("non-empty grid");
-        if min_voice == 0 && min_data == 0 {
+        // Checked non-empty and increasing above: [0] is the smallest.
+        if self.voice_users[0] == 0 && self.data_users[0] == 0 {
             return Err(err(format!(
                 "{}: the (voice_users, data_users) grids include the empty cell (0, 0)",
                 self.name
             )));
-        }
-        if let DurationSpec::Frames { measured, .. } = self.duration {
-            if measured == 0 {
-                return Err(err(format!(
-                    "{}: measured frames must be positive",
-                    self.name
-                )));
-            }
         }
         if self.request_queue != QueueToggle::Off
             && !self.protocols.iter().any(|p| p.supports_request_queue())
@@ -344,61 +326,20 @@ impl ScenarioSpec {
                 || self.handoff != HandoffConfig::default()
                 || self.system_threads > 0)
         {
-            // The serialiser omits layout/handoff/system_threads for
-            // single-cell specs, so a non-default value here would be dropped
-            // silently on round-trip; refuse it instead (it has no effect on
-            // a single-cell run).
+            // The encoder omits layout/handoff/system_threads for
+            // single-cell specs, so a non-default value here would be missing
+            // from the manifest and the checkpoint hash; refuse it instead (it
+            // has no effect on a single-cell run).
             return Err(err(format!(
                 "{}: layout/handoff/system_threads settings are only meaningful with cells > 1",
                 self.name
             )));
-        }
-        if self.cells > 1 {
-            let radius = self.layout.cell_radius_m();
-            if !(radius.is_finite() && radius > 0.0) {
-                return Err(err(format!(
-                    "{}: cell radius must be positive and finite, got {radius}",
-                    self.name
-                )));
-            }
-            if self.handoff.retry_frames == 0 {
-                return Err(err(format!(
-                    "{}: handoff retry_frames must be positive",
-                    self.name
-                )));
-            }
-            if !(self.handoff.hysteresis_m.is_finite() && self.handoff.hysteresis_m >= 0.0) {
-                return Err(err(format!(
-                    "{}: handoff hysteresis must be finite and non-negative, got {}",
-                    self.name, self.handoff.hysteresis_m
-                )));
-            }
-            if self.handoff.cell_capacity != 0 {
-                // Every expanded point starts each cell at (Nv + Nd)
-                // terminals, so a finite capacity must cover the largest
-                // grid cell.
-                let largest = self.voice_users.last().copied().unwrap_or(0)
-                    + self.data_users.last().copied().unwrap_or(0);
-                if self.handoff.cell_capacity < largest {
-                    return Err(err(format!(
-                        "{}: handoff cell_capacity ({}) is below the largest initial \
-                         per-cell population ({largest})",
-                        self.name, self.handoff.cell_capacity
-                    )));
-                }
-            }
         }
         if let Some(ramp) = &self.ramp {
             if !(0.0..1.0).contains(&ramp.at_measured_fraction) {
                 return Err(err(format!(
                     "{}: ramp at_measured_fraction must be in [0, 1), got {}",
                     self.name, ramp.at_measured_fraction
-                )));
-            }
-            if ramp.initial_voice > min_voice {
-                return Err(err(format!(
-                    "{}: ramp initial_voice ({}) exceeds the smallest voice population ({})",
-                    self.name, ramp.initial_voice, min_voice
                 )));
             }
         }
@@ -408,65 +349,53 @@ impl ScenarioSpec {
     /// Expands the spec into executable sweep points, in a deterministic
     /// order: protocols (as listed) x queue variants x non-axis grid x axis
     /// grid.  Protocols that cannot use a request queue are skipped for the
-    /// queue-on variant, mirroring the paper's figures.
+    /// queue-on variant, mirroring the paper's figures.  Fails on the first
+    /// point whose [`SimConfig`] is invalid, naming the scenario and the
+    /// point.
     pub fn expand(&self, budget: FrameBudget) -> Result<Vec<CampaignPoint>, SpecError> {
         self.validate()?;
         let (warmup, measured) = match self.duration {
             DurationSpec::Profile => (budget.warmup, budget.measured),
             DurationSpec::Frames { warmup, measured } => (warmup, measured),
         };
+        // (voice users, data users, speed override, load) in axis order,
+        // the same for every protocol and queue variant.
+        let mut grid = Vec::new();
+        if self.axis == Axis::VoiceUsers {
+            // The voice axis is the inner loop: one curve per data population.
+            for &nd in &self.data_users {
+                grid.extend(self.voice_users.iter().map(|&nv| (nv, nd, None, nv as f64)));
+            }
+        } else {
+            for &nv in &self.voice_users {
+                for &nd in &self.data_users {
+                    match self.axis {
+                        Axis::DataUsers => grid.push((nv, nd, None, nd as f64)),
+                        Axis::SpeedKmh => {
+                            grid.extend(self.speed_grid_kmh.iter().map(|&v| (nv, nd, Some(v), v)))
+                        }
+                        Axis::VoiceUsers | Axis::Single => grid.push((nv, nd, None, nv as f64)),
+                    }
+                }
+            }
+        }
         let mut out = Vec::new();
         for &protocol in &self.protocols {
             for &queue in self.request_queue.variants() {
                 if queue && !protocol.supports_request_queue() {
                     continue;
                 }
-                match self.axis {
-                    Axis::VoiceUsers => {
-                        for &nd in &self.data_users {
-                            for &nv in &self.voice_users {
-                                out.push(self.point(
-                                    protocol, queue, nv, nd, None, nv as f64, warmup, measured,
-                                ));
-                            }
-                        }
-                    }
-                    Axis::DataUsers => {
-                        for &nv in &self.voice_users {
-                            for &nd in &self.data_users {
-                                out.push(self.point(
-                                    protocol, queue, nv, nd, None, nd as f64, warmup, measured,
-                                ));
-                            }
-                        }
-                    }
-                    Axis::SpeedKmh => {
-                        for &nv in &self.voice_users {
-                            for &nd in &self.data_users {
-                                for &v in &self.speed_grid_kmh {
-                                    out.push(self.point(
-                                        protocol,
-                                        queue,
-                                        nv,
-                                        nd,
-                                        Some(v),
-                                        v,
-                                        warmup,
-                                        measured,
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    Axis::Single => {
-                        for &nv in &self.voice_users {
-                            for &nd in &self.data_users {
-                                out.push(self.point(
-                                    protocol, queue, nv, nd, None, nv as f64, warmup, measured,
-                                ));
-                            }
-                        }
-                    }
+                for &(nv, nd, speed, load) in &grid {
+                    let p = self.point(protocol, queue, nv, nd, speed, load, warmup, measured);
+                    p.point.config.validate().map_err(|e| {
+                        err(format!(
+                            "{}: point {} ({protocol}, request queue {queue}, {nv} voice + \
+                             {nd} data, load {load}): {e}",
+                            self.name,
+                            out.len(),
+                        ))
+                    })?;
+                    out.push(p);
                 }
             }
         }
@@ -605,186 +534,17 @@ impl ScenarioSpec {
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string()
     }
-
-    /// Decodes a spec from a JSON object, rejecting unknown keys; missing
-    /// optional fields take the [`ScenarioSpec::new`] defaults.  The decoded
-    /// spec is validated before it is returned.
-    pub fn from_json(value: &Json) -> Result<Self, SpecError> {
-        let pairs = value
-            .as_object()
-            .ok_or_else(|| err(format!("spec must be an object, got {}", value.type_name())))?;
-        let name = value
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("spec is missing the required string field \"name\""))?;
-        let mut spec = ScenarioSpec::new(name);
-        let mut saw_layout = false;
-        let mut saw_handoff = false;
-        for (key, v) in pairs {
-            match key.as_str() {
-                "name" => {}
-                "protocols" => {
-                    let items = v
-                        .as_array()
-                        .ok_or_else(|| err("\"protocols\" must be an array of labels"))?;
-                    spec.protocols = items
-                        .iter()
-                        .map(|item| {
-                            let label = item
-                                .as_str()
-                                .ok_or_else(|| err("\"protocols\" entries must be strings"))?;
-                            ProtocolKind::from_label(label).ok_or_else(|| {
-                                err(format!(
-                                    "unknown protocol \"{label}\" (valid: {})",
-                                    ProtocolKind::ALL.map(|p| p.label()).join(", ")
-                                ))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                }
-                "axis" => {
-                    spec.axis = Axis::from_str_strict(
-                        v.as_str().ok_or_else(|| err("\"axis\" must be a string"))?,
-                    )?;
-                }
-                "voice_users" => spec.voice_users = json_to_u32_grid(v, "voice_users")?,
-                "data_users" => spec.data_users = json_to_u32_grid(v, "data_users")?,
-                "speed" => spec.speed = speed_from_json(v)?,
-                "speed_grid_kmh" => spec.speed_grid_kmh = json_to_f64_grid(v, "speed_grid_kmh")?,
-                "channel_mode" => {
-                    spec.channel_mode = channel_mode_from_str(
-                        v.as_str()
-                            .ok_or_else(|| err("\"channel_mode\" must be a string"))?,
-                    )?;
-                }
-                "duration" => spec.duration = duration_from_json(v)?,
-                "replications" => spec.replications = replications_from_json(v)?,
-                "request_queue" => {
-                    spec.request_queue = QueueToggle::from_str_strict(
-                        v.as_str()
-                            .ok_or_else(|| err("\"request_queue\" must be a string"))?,
-                    )?;
-                }
-                "seed" => {
-                    spec.seed = Some(
-                        v.as_u64()
-                            .ok_or_else(|| err("\"seed\" must be an unsigned integer"))?,
-                    );
-                }
-                "csi_aware" => {
-                    spec.csi_aware = v
-                        .as_bool()
-                        .ok_or_else(|| err("\"csi_aware\" must be a boolean"))?;
-                }
-                "ramp" => spec.ramp = Some(ramp_from_json(v)?),
-                "cells" => {
-                    spec.cells = v
-                        .as_u64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| err("\"cells\" must be an unsigned 32-bit integer"))?;
-                }
-                "layout" => {
-                    spec.layout = layout_from_json(v)?;
-                    saw_layout = true;
-                }
-                "handoff" => {
-                    spec.handoff = handoff_from_json(v)?;
-                    saw_handoff = true;
-                }
-                "system_threads" => {
-                    spec.system_threads = v
-                        .as_u64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| {
-                            err("\"system_threads\" must be an unsigned 32-bit integer")
-                        })?;
-                }
-                unknown => {
-                    return Err(err(format!(
-                        "unknown key \"{unknown}\" in scenario spec \"{name}\""
-                    )));
-                }
-            }
-        }
-        if spec.cells <= 1 && (saw_layout || saw_handoff) {
-            return Err(err(format!(
-                "{}: \"layout\"/\"handoff\" are only valid with \"cells\" > 1",
-                spec.name
-            )));
-        }
-        spec.validate()?;
-        Ok(spec)
-    }
-
-    /// Decodes a spec from JSON text (see [`ScenarioSpec::from_json`]).
-    pub fn from_json_str(text: &str) -> Result<Self, SpecError> {
-        let value = Json::parse(text).map_err(|e| err(e.to_string()))?;
-        Self::from_json(&value)
-    }
 }
 
-/// Rejects speed profiles with non-finite or negative values up front (the
-/// radio layer's own assertions would otherwise only fire mid-run, and a NaN
-/// would serialise as invalid JSON in the manifest).
-fn check_speed_profile(name: &str, speed: &SpeedProfile) -> Result<(), SpecError> {
-    let finite_nonneg = |field: &str, v: f64| -> Result<(), SpecError> {
-        if v.is_finite() && v >= 0.0 {
-            Ok(())
-        } else {
-            Err(err(format!(
-                "{name}: speed profile field \"{field}\" must be finite and non-negative, got {v}"
-            )))
-        }
-    };
-    match *speed {
-        SpeedProfile::Fixed(kmh) => finite_nonneg("kmh", kmh),
-        SpeedProfile::Uniform { min_kmh, max_kmh } => {
-            finite_nonneg("min_kmh", min_kmh)?;
-            finite_nonneg("max_kmh", max_kmh)?;
-            if min_kmh > max_kmh {
-                return Err(err(format!(
-                    "{name}: speed range [{min_kmh}, {max_kmh}] is reversed"
-                )));
-            }
-            Ok(())
-        }
-        SpeedProfile::Bimodal {
-            slow_kmh,
-            fast_kmh,
-            fraction_fast,
-        } => {
-            finite_nonneg("slow_kmh", slow_kmh)?;
-            finite_nonneg("fast_kmh", fast_kmh)?;
-            if !(0.0..=1.0).contains(&fraction_fast) {
-                return Err(err(format!(
-                    "{name}: fraction_fast must be a probability, got {fraction_fast}"
-                )));
-            }
-            Ok(())
-        }
-    }
-}
-
-fn check_grid_u32(name: &str, field: &str, grid: &[u32]) -> Result<(), SpecError> {
+/// A sweep grid must be non-empty and strictly increasing (which also
+/// rules out NaN); the values themselves are checked per expanded point.
+fn check_grid<T: PartialOrd + fmt::Debug>(
+    name: &str,
+    field: &str,
+    grid: &[T],
+) -> Result<(), SpecError> {
     if grid.is_empty() {
         return Err(err(format!("{name}: grid \"{field}\" must not be empty")));
-    }
-    if !grid.windows(2).all(|w| w[0] < w[1]) {
-        return Err(err(format!(
-            "{name}: grid \"{field}\" must be strictly increasing, got {grid:?}"
-        )));
-    }
-    Ok(())
-}
-
-fn check_grid_f64(name: &str, field: &str, grid: &[f64]) -> Result<(), SpecError> {
-    if grid.is_empty() {
-        return Err(err(format!("{name}: grid \"{field}\" must not be empty")));
-    }
-    if grid.iter().any(|v| !v.is_finite() || *v < 0.0) {
-        return Err(err(format!(
-            "{name}: grid \"{field}\" must hold finite non-negative values, got {grid:?}"
-        )));
     }
     if !grid.windows(2).all(|w| w[0] < w[1]) {
         return Err(err(format!(
@@ -798,52 +558,11 @@ fn u32_grid_to_json(grid: &[u32]) -> Json {
     Json::Array(grid.iter().map(|&v| Json::Int(v as u64)).collect())
 }
 
-fn json_to_u32_grid(v: &Json, field: &str) -> Result<Vec<u32>, SpecError> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| err(format!("\"{field}\" must be an array of integers")))?;
-    items
-        .iter()
-        .map(|item| {
-            item.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| {
-                    err(format!(
-                        "\"{field}\" entries must be unsigned 32-bit integers"
-                    ))
-                })
-        })
-        .collect()
-}
-
-fn json_to_f64_grid(v: &Json, field: &str) -> Result<Vec<f64>, SpecError> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| err(format!("\"{field}\" must be an array of numbers")))?;
-    items
-        .iter()
-        .map(|item| {
-            item.as_f64()
-                .ok_or_else(|| err(format!("\"{field}\" entries must be numbers")))
-        })
-        .collect()
-}
-
 /// The JSON encoding of a [`ChannelMode`].
 fn channel_mode_str(mode: ChannelMode) -> &'static str {
     match mode {
         ChannelMode::Lazy => "lazy",
         ChannelMode::Eager => "eager",
-    }
-}
-
-fn channel_mode_from_str(s: &str) -> Result<ChannelMode, SpecError> {
-    match s {
-        "lazy" => Ok(ChannelMode::Lazy),
-        "eager" => Ok(ChannelMode::Eager),
-        other => Err(err(format!(
-            "unknown channel_mode \"{other}\" (valid: lazy, eager)"
-        ))),
     }
 }
 
@@ -871,52 +590,6 @@ fn speed_to_json(speed: &SpeedProfile) -> Json {
     }
 }
 
-fn speed_from_json(v: &Json) -> Result<SpeedProfile, SpecError> {
-    let pairs = v
-        .as_object()
-        .ok_or_else(|| err("\"speed\" must be an object with a \"kind\" field"))?;
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| err("\"speed\" is missing the string field \"kind\""))?;
-    let allowed: &[&str] = match kind {
-        "fixed" => &["kind", "kmh"],
-        "uniform" => &["kind", "min_kmh", "max_kmh"],
-        "bimodal" => &["kind", "slow_kmh", "fast_kmh", "fraction_fast"],
-        other => {
-            return Err(err(format!(
-                "unknown speed kind \"{other}\" (valid: fixed, uniform, bimodal)"
-            )));
-        }
-    };
-    for (key, _) in pairs {
-        if !allowed.contains(&key.as_str()) {
-            return Err(err(format!(
-                "unknown key \"{key}\" in \"{kind}\" speed profile"
-            )));
-        }
-    }
-    let num = |field: &str| -> Result<f64, SpecError> {
-        v.get(field).and_then(Json::as_f64).ok_or_else(|| {
-            err(format!(
-                "\"{kind}\" speed profile needs the number \"{field}\""
-            ))
-        })
-    };
-    match kind {
-        "fixed" => Ok(SpeedProfile::Fixed(num("kmh")?)),
-        "uniform" => Ok(SpeedProfile::Uniform {
-            min_kmh: num("min_kmh")?,
-            max_kmh: num("max_kmh")?,
-        }),
-        _ => Ok(SpeedProfile::Bimodal {
-            slow_kmh: num("slow_kmh")?,
-            fast_kmh: num("fast_kmh")?,
-            fraction_fast: num("fraction_fast")?,
-        }),
-    }
-}
-
 fn duration_to_json(duration: &DurationSpec) -> Json {
     match *duration {
         DurationSpec::Profile => Json::Str("profile".into()),
@@ -924,37 +597,6 @@ fn duration_to_json(duration: &DurationSpec) -> Json {
             ("warmup_frames".into(), Json::Int(warmup)),
             ("measured_frames".into(), Json::Int(measured)),
         ]),
-    }
-}
-
-fn duration_from_json(v: &Json) -> Result<DurationSpec, SpecError> {
-    match v {
-        Json::Str(s) if s == "profile" => Ok(DurationSpec::Profile),
-        Json::Str(s) => Err(err(format!(
-            "unknown duration \"{s}\" (valid: \"profile\" or {{warmup_frames, measured_frames}})"
-        ))),
-        Json::Object(pairs) => {
-            for (key, _) in pairs {
-                if key != "warmup_frames" && key != "measured_frames" {
-                    return Err(err(format!("unknown key \"{key}\" in \"duration\"")));
-                }
-            }
-            let field = |name: &str| {
-                v.get(name).and_then(Json::as_u64).ok_or_else(|| {
-                    err(format!(
-                        "\"duration\" needs the unsigned integer \"{name}\""
-                    ))
-                })
-            };
-            Ok(DurationSpec::Frames {
-                warmup: field("warmup_frames")?,
-                measured: field("measured_frames")?,
-            })
-        }
-        other => Err(err(format!(
-            "\"duration\" must be \"profile\" or an object, got {}",
-            other.type_name()
-        ))),
     }
 }
 
@@ -974,47 +616,6 @@ fn replications_to_json(reps: &RepsSpec) -> Json {
     }
 }
 
-fn replications_from_json(v: &Json) -> Result<RepsSpec, SpecError> {
-    match v {
-        Json::Str(s) if s == "profile" => Ok(RepsSpec::Profile),
-        Json::Str(s) => Err(err(format!(
-            "unknown replications \"{s}\" (valid: \"profile\" or {{min, max, target_rel_ci95?}})"
-        ))),
-        Json::Object(pairs) => {
-            for (key, _) in pairs {
-                if key != "min" && key != "max" && key != "target_rel_ci95" {
-                    return Err(err(format!("unknown key \"{key}\" in \"replications\"")));
-                }
-            }
-            let int_field = |name: &str| {
-                v.get(name)
-                    .and_then(Json::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| {
-                        err(format!(
-                            "\"replications\" needs the unsigned integer \"{name}\""
-                        ))
-                    })
-            };
-            let target_rel_ci95 = match v.get("target_rel_ci95") {
-                None => None,
-                Some(t) => Some(t.as_f64().ok_or_else(|| {
-                    err("\"replications\" field \"target_rel_ci95\" must be a number")
-                })?),
-            };
-            Ok(RepsSpec::Policy(ReplicationPolicy {
-                min_reps: int_field("min")?,
-                max_reps: int_field("max")?,
-                target_rel_ci95,
-            }))
-        }
-        other => Err(err(format!(
-            "\"replications\" must be \"profile\" or an object, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
 fn layout_to_json(layout: &Layout) -> Json {
     let (kind, radius) = match *layout {
         Layout::Hex { cell_radius_m } => ("hex", cell_radius_m),
@@ -1024,32 +625,6 @@ fn layout_to_json(layout: &Layout) -> Json {
         ("kind".into(), Json::Str(kind.into())),
         ("cell_radius_m".into(), Json::Num(radius)),
     ])
-}
-
-fn layout_from_json(v: &Json) -> Result<Layout, SpecError> {
-    let pairs = v
-        .as_object()
-        .ok_or_else(|| err("\"layout\" must be an object with a \"kind\" field"))?;
-    for (key, _) in pairs {
-        if key != "kind" && key != "cell_radius_m" {
-            return Err(err(format!("unknown key \"{key}\" in \"layout\"")));
-        }
-    }
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| err("\"layout\" is missing the string field \"kind\""))?;
-    let cell_radius_m = v
-        .get("cell_radius_m")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| err("\"layout\" needs the number \"cell_radius_m\""))?;
-    match kind {
-        "hex" => Ok(Layout::Hex { cell_radius_m }),
-        "line" => Ok(Layout::Line { cell_radius_m }),
-        other => Err(err(format!(
-            "unknown layout kind \"{other}\" (valid: hex, line)"
-        ))),
-    }
 }
 
 fn admission_str(admission: HandoffAdmission) -> &'static str {
@@ -1074,188 +649,247 @@ fn handoff_to_json(handoff: &HandoffConfig) -> Json {
     ])
 }
 
-fn handoff_from_json(v: &Json) -> Result<HandoffConfig, SpecError> {
-    let pairs = v
-        .as_object()
-        .ok_or_else(|| err("\"handoff\" must be an object"))?;
-    let mut handoff = HandoffConfig::default();
-    for (key, value) in pairs {
-        match key.as_str() {
-            "admission" => {
-                let s = value
-                    .as_str()
-                    .ok_or_else(|| err("\"handoff\" field \"admission\" must be a string"))?;
-                handoff.admission = match s {
-                    "drop_on_full" => HandoffAdmission::DropOnFull,
-                    "queue" => HandoffAdmission::Queue,
-                    other => {
-                        return Err(err(format!(
-                            "unknown handoff admission \"{other}\" (valid: drop_on_full, queue)"
-                        )));
-                    }
-                };
-            }
-            "cell_capacity" => {
-                handoff.cell_capacity = value
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| {
-                        err("\"handoff\" field \"cell_capacity\" must be an unsigned integer")
-                    })?;
-            }
-            "retry_frames" => {
-                handoff.retry_frames = value.as_u64().ok_or_else(|| {
-                    err("\"handoff\" field \"retry_frames\" must be an unsigned integer")
-                })?;
-            }
-            "hysteresis_m" => {
-                handoff.hysteresis_m = value
-                    .as_f64()
-                    .ok_or_else(|| err("\"handoff\" field \"hysteresis_m\" must be a number"))?;
-            }
-            unknown => return Err(err(format!("unknown key \"{unknown}\" in \"handoff\""))),
-        }
-    }
-    Ok(handoff)
-}
-
-fn ramp_from_json(v: &Json) -> Result<RampSpec, SpecError> {
-    let pairs = v
-        .as_object()
-        .ok_or_else(|| err("\"ramp\" must be an object"))?;
-    for (key, _) in pairs {
-        if key != "initial_voice" && key != "at_measured_fraction" {
-            return Err(err(format!("unknown key \"{key}\" in \"ramp\"")));
-        }
-    }
-    let initial_voice = v
-        .get("initial_voice")
-        .and_then(Json::as_u64)
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| err("\"ramp\" needs the unsigned integer \"initial_voice\""))?;
-    let at_measured_fraction = v
-        .get("at_measured_fraction")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| err("\"ramp\" needs the number \"at_measured_fraction\""))?;
-    Ok(RampSpec {
-        initial_voice,
-        at_measured_fraction,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
 
+    /// A multi-cell spec with every field away from its default.  The
+    /// struct literal is exhaustive, so a new field does not compile until
+    /// it is set here and `json_round_trip_preserves_every_field` mutates it.
     fn full_spec() -> ScenarioSpec {
-        let mut spec = ScenarioSpec::new("round-trip");
-        spec.protocols = vec![ProtocolKind::Charisma, ProtocolKind::DTdmaVr];
-        spec.axis = Axis::VoiceUsers;
-        spec.voice_users = vec![20, 60, 100];
-        spec.data_users = vec![0, 10];
-        spec.speed = SpeedProfile::Bimodal {
-            slow_kmh: 3.0,
-            fast_kmh: 80.0,
-            fraction_fast: 0.5,
-        };
-        spec.channel_mode = ChannelMode::Eager;
-        spec.duration = DurationSpec::Frames {
-            warmup: 500,
-            measured: 5_000,
-        };
-        spec.request_queue = QueueToggle::Both;
-        spec.seed = Some(0xDEAD_BEEF_5EED_CAFE);
-        spec.csi_aware = false;
-        spec.ramp = Some(RampSpec {
-            initial_voice: 10,
-            at_measured_fraction: 0.5,
-        });
-        spec.replications = RepsSpec::Policy(ReplicationPolicy::adaptive(3, 8, 0.05));
-        spec
+        ScenarioSpec {
+            name: "full".into(),
+            protocols: vec![ProtocolKind::Charisma, ProtocolKind::DTdmaVr],
+            axis: Axis::VoiceUsers,
+            voice_users: vec![20, 60, 100],
+            data_users: vec![0, 10],
+            speed: SpeedProfile::Bimodal {
+                slow_kmh: 3.0,
+                fast_kmh: 80.0,
+                fraction_fast: 0.5,
+            },
+            speed_grid_kmh: Vec::new(),
+            channel_mode: ChannelMode::Eager,
+            duration: DurationSpec::Frames {
+                warmup: 500,
+                measured: 5_000,
+            },
+            request_queue: QueueToggle::Both,
+            seed: Some(0xDEAD_BEEF_5EED_CAFE),
+            csi_aware: false,
+            ramp: Some(RampSpec {
+                initial_voice: 10,
+                at_measured_fraction: 0.5,
+            }),
+            replications: RepsSpec::Policy(ReplicationPolicy::adaptive(3, 8, 0.05)),
+            cells: 7,
+            layout: Layout::Hex {
+                cell_radius_m: 250.0,
+            },
+            handoff: HandoffConfig {
+                admission: HandoffAdmission::DropOnFull,
+                cell_capacity: 120,
+                retry_frames: 20,
+                hysteresis_m: 10.0,
+            },
+            system_threads: 2,
+        }
     }
 
+    fn budget() -> FrameBudget {
+        FrameBudget {
+            warmup: 10,
+            measured: 100,
+        }
+    }
+
+    /// The bytes a checkpoint hashes for a one-spec campaign.
+    fn campaign_bytes(spec: &ScenarioSpec) -> String {
+        Campaign::new("c").with_spec(spec.clone()).to_json_string()
+    }
+
+    /// Nothing decodes a spec, but the checkpoint's campaign hash is taken
+    /// over its encoding: a field missing from it would let a checkpoint
+    /// written before that field changed resume after it.  So changing any
+    /// one field must change the campaign bytes, and the bytes must survive
+    /// the JSON parser and printer unchanged.
     #[test]
     fn json_round_trip_preserves_every_field() {
-        let spec = full_spec();
-        let text = spec.to_json_string();
-        let back = ScenarioSpec::from_json_str(&text).unwrap();
-        assert_eq!(back, spec);
-        // Deterministic serialisation: encoding again yields identical bytes.
-        assert_eq!(back.to_json_string(), text);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_defaults() {
-        let spec = ScenarioSpec::new("defaults");
-        let back = ScenarioSpec::from_json_str(&spec.to_json_string()).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.seed, None);
-        assert_eq!(back.effective_seed(), SimConfig::default_paper().seed);
-    }
-
-    #[test]
-    fn unknown_keys_are_rejected() {
-        let text = r#"{"name": "x", "voice_userz": [10]}"#;
-        let e = ScenarioSpec::from_json_str(text).unwrap_err();
-        assert!(e.to_string().contains("voice_userz"), "{e}");
-
-        let nested = r#"{"name": "x", "speed": {"kind": "fixed", "kmh": 50, "mph": 30}}"#;
-        let e = ScenarioSpec::from_json_str(nested).unwrap_err();
-        assert!(e.to_string().contains("mph"), "{e}");
-
-        let ramp = r#"{"name": "x", "ramp": {"initial_voice": 5, "at": 0.5}}"#;
-        assert!(ScenarioSpec::from_json_str(ramp).is_err());
+        let base = full_spec();
+        type Mutation = (&'static str, fn(&mut ScenarioSpec));
+        let mutations: &[Mutation] = &[
+            ("name", |s| s.name.push('2')),
+            ("protocols", |s| s.protocols.reverse()),
+            ("axis", |s| s.axis = Axis::DataUsers),
+            ("voice_users", |s| s.voice_users.push(110)),
+            ("data_users", |s| s.data_users[1] = 11),
+            ("speed", |s| s.speed = SpeedProfile::Fixed(50.0)),
+            ("channel_mode", |s| s.channel_mode = ChannelMode::Lazy),
+            ("duration", |s| s.duration = DurationSpec::Profile),
+            ("duration.warmup", |s| {
+                s.duration = DurationSpec::Frames {
+                    warmup: 501,
+                    measured: 5_000,
+                }
+            }),
+            ("request_queue", |s| s.request_queue = QueueToggle::On),
+            ("seed", |s| s.seed = None),
+            ("csi_aware", |s| s.csi_aware = true),
+            ("ramp", |s| s.ramp = None),
+            ("ramp.initial_voice", |s| {
+                s.ramp.as_mut().unwrap().initial_voice = 11;
+            }),
+            ("ramp.at_measured_fraction", |s| {
+                s.ramp.as_mut().unwrap().at_measured_fraction = 0.25;
+            }),
+            ("replications", |s| {
+                s.replications = RepsSpec::Policy(ReplicationPolicy::fixed(3))
+            }),
+            ("cells", |s| s.cells = 19),
+            ("layout", |s| {
+                s.layout = Layout::Line {
+                    cell_radius_m: 250.0,
+                }
+            }),
+            ("layout.cell_radius_m", |s| {
+                s.layout = Layout::Hex {
+                    cell_radius_m: 300.0,
+                }
+            }),
+            ("handoff.admission", |s| {
+                s.handoff.admission = HandoffAdmission::Queue
+            }),
+            ("handoff.cell_capacity", |s| s.handoff.cell_capacity = 121),
+            ("handoff.retry_frames", |s| s.handoff.retry_frames = 21),
+            ("handoff.hysteresis_m", |s| s.handoff.hysteresis_m = 12.5),
+            ("system_threads", |s| s.system_threads = 3),
+        ];
+        let bytes = campaign_bytes(&base);
+        for (field, mutate) in mutations {
+            let mut changed = base.clone();
+            mutate(&mut changed);
+            assert_ne!(changed, base, "{field}: the mutation changed nothing");
+            assert_ne!(
+                campaign_bytes(&changed),
+                bytes,
+                "{field} is missing from the encoding"
+            );
+        }
+        // The speed grid is encoded on the speed axis, the only axis that
+        // allows one.
+        let mut speed_axis = base.clone();
+        speed_axis.axis = Axis::SpeedKmh;
+        speed_axis.speed_grid_kmh = vec![10.0, 50.0];
+        let mut other_grid = speed_axis.clone();
+        other_grid.speed_grid_kmh[1] = 60.0;
+        assert_ne!(
+            campaign_bytes(&other_grid),
+            campaign_bytes(&speed_axis),
+            "speed_grid_kmh is missing from the encoding"
+        );
+        for spec in [&base, &speed_axis] {
+            spec.validate().unwrap();
+            let text = campaign_bytes(spec);
+            assert_eq!(Json::parse(&text).unwrap().to_string(), text);
+        }
     }
 
     #[test]
     fn invalid_grids_are_rejected() {
-        // Empty grid.
-        let e = ScenarioSpec::from_json_str(r#"{"name": "x", "voice_users": []}"#).unwrap_err();
-        assert!(e.to_string().contains("must not be empty"), "{e}");
-        // Not strictly increasing.
-        let e = ScenarioSpec::from_json_str(r#"{"name": "x", "voice_users": [10, 10, 20]}"#)
-            .unwrap_err();
-        assert!(e.to_string().contains("strictly increasing"), "{e}");
-        // The empty (0, 0) cell.
-        let e = ScenarioSpec::from_json_str(
-            r#"{"name": "x", "voice_users": [0, 10], "data_users": [0, 5]}"#,
-        )
-        .unwrap_err();
-        assert!(e.to_string().contains("(0, 0)"), "{e}");
+        let rejected = |mutate: fn(&mut ScenarioSpec)| {
+            let mut spec = ScenarioSpec::new("x");
+            mutate(&mut spec);
+            spec.validate().unwrap_err().to_string()
+        };
+        let e = rejected(|s| s.voice_users = vec![]);
+        assert!(e.contains("must not be empty"), "{e}");
+        let e = rejected(|s| s.voice_users = vec![10, 10, 20]);
+        assert!(e.contains("strictly increasing"), "{e}");
+        let e = rejected(|s| {
+            s.voice_users = vec![0, 10];
+            s.data_users = vec![0, 5];
+        });
+        assert!(e.contains("(0, 0)"), "{e}");
         // A speed grid without a speed axis.
-        let e = ScenarioSpec::from_json_str(r#"{"name": "x", "speed_grid_kmh": [10, 50]}"#)
-            .unwrap_err();
-        assert!(e.to_string().contains("speed_kmh"), "{e}");
-        // Negative / non-finite axis speeds.
+        let e = rejected(|s| s.speed_grid_kmh = vec![10.0, 50.0]);
+        assert!(e.contains("speed_kmh"), "{e}");
+        // A NaN axis speed breaks the order; a negative one breaks the
+        // speed rule of every point it expands into.
+        let e = rejected(|s| {
+            s.axis = Axis::SpeedKmh;
+            s.speed_grid_kmh = vec![10.0, f64::NAN];
+        });
+        assert!(e.contains("strictly increasing"), "{e}");
         let mut spec = ScenarioSpec::new("x");
         spec.axis = Axis::SpeedKmh;
         spec.speed_grid_kmh = vec![-5.0, 10.0];
-        assert!(spec.validate().is_err());
+        let e = spec.expand(budget()).unwrap_err().to_string();
+        assert!(e.contains("\"kmh\" must be finite and non-negative"), "{e}");
     }
 
     #[test]
     fn invalid_speed_profiles_are_rejected() {
-        let fixed = r#"{"name": "x", "speed": {"kind": "fixed", "kmh": -5}}"#;
-        let e = ScenarioSpec::from_json_str(fixed).unwrap_err();
-        assert!(e.to_string().contains("kmh"), "{e}");
-        let reversed =
-            r#"{"name": "x", "speed": {"kind": "uniform", "min_kmh": 80, "max_kmh": 20}}"#;
-        assert!(ScenarioSpec::from_json_str(reversed).is_err());
-        let bad_fraction = r#"{"name": "x", "speed":
-            {"kind": "bimodal", "slow_kmh": 3, "fast_kmh": 80, "fraction_fast": 1.5}}"#;
-        assert!(ScenarioSpec::from_json_str(bad_fraction).is_err());
-        let mut spec = ScenarioSpec::new("x");
-        spec.speed = SpeedProfile::Fixed(f64::NAN);
-        assert!(spec.validate().is_err());
+        // The speed rules belong to `SimConfig::validate`: the spec's shape
+        // is fine, its expanded points are not.
+        for (speed, needle) in [
+            (SpeedProfile::Fixed(-5.0), "kmh"),
+            (SpeedProfile::Fixed(f64::NAN), "kmh"),
+            (
+                SpeedProfile::Uniform {
+                    min_kmh: 80.0,
+                    max_kmh: 20.0,
+                },
+                "reversed",
+            ),
+            (
+                SpeedProfile::Bimodal {
+                    slow_kmh: 3.0,
+                    fast_kmh: 80.0,
+                    fraction_fast: 1.5,
+                },
+                "fraction_fast",
+            ),
+        ] {
+            let mut spec = ScenarioSpec::new("x");
+            spec.speed = speed;
+            assert_eq!(spec.validate(), Ok(()));
+            let e = spec.expand(budget()).unwrap_err().to_string();
+            assert!(e.contains(needle), "{speed:?}: {e}");
+            // A speed axis ignores the profile, which is still encoded.
+            spec.axis = Axis::SpeedKmh;
+            spec.speed_grid_kmh = vec![10.0];
+            let e = spec.validate().unwrap_err().to_string();
+            assert!(e.contains(needle), "{speed:?}: {e}");
+        }
     }
 
     #[test]
-    fn unknown_protocols_and_enums_are_rejected() {
-        assert!(ScenarioSpec::from_json_str(r#"{"name": "x", "protocols": ["FOO"]}"#).is_err());
-        assert!(ScenarioSpec::from_json_str(r#"{"name": "x", "axis": "users"}"#).is_err());
-        assert!(ScenarioSpec::from_json_str(r#"{"name": "x", "channel_mode": "warm"}"#).is_err());
-        assert!(ScenarioSpec::from_json_str(r#"{"name": "x", "request_queue": "maybe"}"#).is_err());
-        assert!(ScenarioSpec::from_json_str(r#"{"name": "x", "duration": "short"}"#).is_err());
+    fn expand_names_the_scenario_and_point_a_config_rule_rejects() {
+        // The ramp keeps 40 voice users active, more than the first point
+        // has: the spec's shape is fine, its first point is not.
+        let mut spec = ScenarioSpec::new("ramped");
+        spec.protocols = vec![ProtocolKind::Charisma];
+        spec.voice_users = vec![20, 60];
+        spec.ramp = Some(RampSpec {
+            initial_voice: 40,
+            at_measured_fraction: 0.5,
+        });
+        assert_eq!(spec.validate(), Ok(()));
+        let e = spec.expand(budget()).unwrap_err().to_string();
+        assert!(
+            e.contains("ramped: point 0 (CHARISMA, request queue false, 20 voice + 0 data"),
+            "{e}"
+        );
+        assert!(e.contains("initial_voice (40)"), "{e}");
+        // A zero-length measurement window.
+        spec.ramp = None;
+        spec.duration = DurationSpec::Frames {
+            warmup: 10,
+            measured: 0,
+        };
+        let e = spec.expand(budget()).unwrap_err().to_string();
+        assert!(e.contains("measured_frames"), "{e}");
     }
 
     #[test]
@@ -1292,12 +926,7 @@ mod tests {
         spec.axis = Axis::SpeedKmh;
         spec.voice_users = vec![50];
         spec.speed_grid_kmh = vec![10.0, 50.0, 80.0];
-        let points = spec
-            .expand(FrameBudget {
-                warmup: 10,
-                measured: 100,
-            })
-            .unwrap();
+        let points = spec.expand(budget()).unwrap();
         assert_eq!(points.len(), 3);
         for (p, v) in points.iter().zip([10.0, 50.0, 80.0]) {
             assert_eq!(p.point.config.speed, SpeedProfile::Fixed(v));
@@ -1329,67 +958,49 @@ mod tests {
 
     #[test]
     fn expanded_configs_pass_sim_config_validation() {
-        let spec = full_spec();
-        for p in spec
-            .expand(FrameBudget {
-                warmup: 100,
-                measured: 1_000,
-            })
-            .unwrap()
-        {
-            p.point.config.validate();
+        for p in full_spec().expand(budget()).unwrap() {
+            p.point.config.validate().unwrap();
         }
     }
 
     #[test]
     fn replications_json_round_trips_and_rejects_bad_policies() {
-        // Default: the profile policy, encoded as the string "profile".
-        let spec = ScenarioSpec::new("defaults");
-        assert!(spec
-            .to_json_string()
-            .contains("\"replications\": \"profile\""));
-
-        // Fixed policy without a stopping rule.
-        let mut fixed = ScenarioSpec::new("fixed");
-        fixed.replications = RepsSpec::Policy(ReplicationPolicy::fixed(5));
-        let back = ScenarioSpec::from_json_str(&fixed.to_json_string()).unwrap();
-        assert_eq!(back, fixed);
-
-        // Adaptive policy round-trips through the full_spec fixture too
-        // (json_round_trip_preserves_every_field), so only spot-check here.
-        let adaptive = r#"{"name": "x", "replications": {"min": 3, "max": 10,
-                           "target_rel_ci95": 0.1}}"#;
-        let spec = ScenarioSpec::from_json_str(adaptive).unwrap();
-        assert_eq!(
-            spec.replications,
-            RepsSpec::Policy(ReplicationPolicy::adaptive(3, 10, 0.1))
-        );
-        // Expanded points carry the override; profile specs carry None.
-        let budget = FrameBudget {
-            warmup: 10,
-            measured: 100,
+        // The `replications` field of the encoded text, read back through
+        // the JSON parser.
+        let encoded = |replications| {
+            let mut spec = ScenarioSpec::new("x");
+            spec.replications = replications;
+            let json = Json::parse(&spec.to_json_string()).unwrap();
+            json.get("replications").unwrap().to_compact_string()
         };
-        assert!(spec
-            .expand(budget)
-            .unwrap()
-            .iter()
-            .all(|p| p.reps == Some(ReplicationPolicy::adaptive(3, 10, 0.1))));
-        assert!(ScenarioSpec::new("d")
-            .expand(budget)
-            .unwrap()
-            .iter()
-            .all(|p| p.reps.is_none()));
+        // Default: the profile policy, encoded as the string "profile".
+        assert_eq!(encoded(RepsSpec::Profile), r#""profile""#);
+        // Fixed policy without a stopping rule, then an adaptive one.
+        let fixed = RepsSpec::Policy(ReplicationPolicy::fixed(5));
+        assert_eq!(encoded(fixed), r#"{"min":5,"max":5}"#);
+        let adaptive = ReplicationPolicy::adaptive(3, 10, 0.1);
+        assert_eq!(
+            encoded(RepsSpec::Policy(adaptive)),
+            r#"{"min":3,"max":10,"target_rel_ci95":0.1}"#
+        );
 
-        // Rejections: unknown key, zero reps, max < min, bad target, bad kind.
+        // Expanded points carry the override; profile specs carry None.
+        let mut spec = ScenarioSpec::new("adaptive");
+        spec.replications = RepsSpec::Policy(adaptive);
+        let points = spec.expand(budget()).unwrap();
+        assert!(points.iter().all(|p| p.reps == Some(adaptive)));
+        let points = ScenarioSpec::new("d").expand(budget()).unwrap();
+        assert!(points.iter().all(|p| p.reps.is_none()));
+
+        // Rejections: zero reps, max < min, bad target.
         for bad in [
-            r#"{"name": "x", "replications": {"min": 1, "max": 2, "reps": 3}}"#,
-            r#"{"name": "x", "replications": {"min": 0, "max": 2}}"#,
-            r#"{"name": "x", "replications": {"min": 5, "max": 2}}"#,
-            r#"{"name": "x", "replications": {"min": 2, "max": 4, "target_rel_ci95": -1}}"#,
-            r#"{"name": "x", "replications": "thrice"}"#,
-            r#"{"name": "x", "replications": 3}"#,
+            ReplicationPolicy::fixed(0),
+            ReplicationPolicy::adaptive(5, 2, 0.1),
+            ReplicationPolicy::adaptive(2, 4, -1.0),
         ] {
-            assert!(ScenarioSpec::from_json_str(bad).is_err(), "{bad}");
+            let mut spec = ScenarioSpec::new("x");
+            spec.replications = RepsSpec::Policy(bad);
+            assert!(spec.validate().is_err(), "{bad:?}");
         }
     }
 
@@ -1410,28 +1021,19 @@ mod tests {
             hysteresis_m: 10.0,
         };
         let text = spec.to_json_string();
-        assert!(text.contains("\"cells\": 7"), "{text}");
-        assert!(text.contains("drop_on_full"), "{text}");
-        let back = ScenarioSpec::from_json_str(&text).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_json_string(), text);
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.to_string(), text);
+        assert_eq!(parsed.get("cells"), Some(&Json::Int(7)));
+        assert_eq!(
+            parsed.get("handoff").unwrap().to_compact_string(),
+            r#"{"admission":"drop_on_full","cell_capacity":30,"retry_frames":20,"hysteresis_m":10.0}"#
+        );
 
-        let points = spec
-            .expand(FrameBudget {
-                warmup: 10,
-                measured: 100,
-            })
-            .unwrap();
-        for p in &points {
-            let system = p
-                .point
-                .config
-                .system
-                .expect("multi-cell points carry a system");
+        for p in &spec.expand(budget()).unwrap() {
+            let system = p.point.config.system.unwrap();
             assert_eq!(system.cells, 7);
             assert_eq!(system.layout.cell_radius_m(), 250.0);
             assert_eq!(system.handoff.admission, HandoffAdmission::DropOnFull);
-            p.point.config.validate();
         }
     }
 
@@ -1443,58 +1045,55 @@ mod tests {
         assert!(!text.contains("\"layout\""), "{text}");
         assert!(!text.contains("\"handoff\""), "{text}");
         // Expanded points stay on the historical single-cell path.
-        let points = spec
-            .expand(FrameBudget {
-                warmup: 10,
-                measured: 100,
-            })
-            .unwrap();
+        let points = spec.expand(budget()).unwrap();
         assert!(points.iter().all(|p| p.point.config.system.is_none()));
     }
 
     #[test]
     fn multicell_spec_rejections() {
-        // layout/handoff without cells > 1.
-        for bad in [
-            r#"{"name": "x", "layout": {"kind": "hex", "cell_radius_m": 100}}"#,
-            r#"{"name": "x", "handoff": {"admission": "queue"}}"#,
-            r#"{"name": "x", "cells": 1, "layout": {"kind": "hex", "cell_radius_m": 100}}"#,
+        // Spec shape: no cells, or multi-cell settings on a single cell
+        // (the encoder would leave them out of the manifest and the hash).
+        let mut none = ScenarioSpec::new("none");
+        none.cells = 0;
+        let e = none.validate().unwrap_err();
+        assert!(e.to_string().contains("at least one cell"), "{e}");
+        for mutate in [
+            (|s: &mut ScenarioSpec| {
+                s.layout = Layout::Line {
+                    cell_radius_m: 100.0,
+                }
+            }) as fn(&mut ScenarioSpec),
+            |s| s.handoff.admission = HandoffAdmission::DropOnFull,
+            |s| s.handoff.cell_capacity = 60,
+            |s| s.system_threads = 2,
         ] {
-            let e = ScenarioSpec::from_json_str(bad).unwrap_err();
-            assert!(e.to_string().contains("cells"), "{bad}: {e}");
+            let mut single = ScenarioSpec::new("single-custom");
+            mutate(&mut single);
+            let e = single.validate().unwrap_err();
+            assert!(e.to_string().contains("cells > 1"), "{e}");
         }
-        // Zero cells, unknown layout kind / admission, unknown keys.
-        assert!(ScenarioSpec::from_json_str(r#"{"name": "x", "cells": 0}"#).is_err());
-        assert!(ScenarioSpec::from_json_str(
-            r#"{"name": "x", "cells": 3, "layout": {"kind": "ring", "cell_radius_m": 100}}"#
-        )
-        .is_err());
-        assert!(ScenarioSpec::from_json_str(
-            r#"{"name": "x", "cells": 3, "handoff": {"admission": "refuse"}}"#
-        )
-        .is_err());
-        assert!(ScenarioSpec::from_json_str(
-            r#"{"name": "x", "cells": 3, "handoff": {"admision": "queue"}}"#
-        )
-        .is_err());
-        assert!(ScenarioSpec::from_json_str(
-            r#"{"name": "x", "cells": 3, "layout": {"kind": "hex", "radius": 100}}"#
-        )
-        .is_err());
-        // Capacity below the largest grid population.
-        let mut spec = ScenarioSpec::new("cap");
-        spec.voice_users = vec![10, 40];
-        spec.cells = 3;
-        spec.handoff.cell_capacity = 20;
-        let e = spec.validate().unwrap_err();
-        assert!(e.to_string().contains("cell_capacity"), "{e}");
-        // A programmatically built single-cell spec with non-default
-        // layout/handoff must fail validation rather than silently dropping
-        // the settings on serialisation.
-        let mut single = ScenarioSpec::new("single-custom");
-        single.handoff.cell_capacity = 60;
-        let e = single.validate().unwrap_err();
-        assert!(e.to_string().contains("cells > 1"), "{e}");
+        // Configuration rules, applied to every expanded point.
+        for (mutate, needle) in [
+            (
+                (|s: &mut ScenarioSpec| s.handoff.cell_capacity = 20) as fn(&mut ScenarioSpec),
+                "cell_capacity (20) is below the initial per-cell population (40)",
+            ),
+            (
+                |s| s.layout = Layout::Hex { cell_radius_m: 0.0 },
+                "cell radius",
+            ),
+            (|s| s.handoff.retry_frames = 0, "retry_frames"),
+            (|s| s.handoff.hysteresis_m = f64::NAN, "hysteresis"),
+        ] {
+            let mut spec = ScenarioSpec::new("cap");
+            spec.voice_users = vec![10, 40];
+            spec.cells = 3;
+            mutate(&mut spec);
+            assert_eq!(spec.validate(), Ok(()));
+            let e = spec.expand(budget()).unwrap_err();
+            assert!(e.to_string().contains("cap: point"), "{e}");
+            assert!(e.to_string().contains(needle), "{e}");
+        }
     }
 
     #[test]

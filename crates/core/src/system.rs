@@ -86,7 +86,7 @@ use crate::world::TerminalTable;
 use charisma_des::{RngStreams, StreamId, Xoshiro256StarStar};
 use charisma_metrics::{CellCounters, HandoffStats, RunMetrics, RunningStat};
 use charisma_radio::{Bounds, PathLossConfig, Position, RandomWaypoint};
-use charisma_traffic::{TerminalClass, TerminalId};
+use charisma_traffic::TerminalId;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -395,15 +395,15 @@ impl SystemWorld {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is invalid or has no
-    /// [`SimConfig::system`] section.
+    /// Panics with the [`SimConfig::validate`] message when the
+    /// configuration is invalid, and when it has no [`SimConfig::system`]
+    /// section.
     pub fn new(config: SimConfig, protocol: ProtocolKind) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let system = config
             .system
             .expect("SystemWorld needs a SimConfig with a system section");
         let streams = RngStreams::new(config.seed);
-        let clock = config.clock();
         let per_cell = config.num_voice + config.num_data;
         let locator = CellLocator::new(
             cell_centers(&system.layout, system.cells),
@@ -412,17 +412,8 @@ impl SystemWorld {
         let centers = locator.centers();
         let bounds = layout_bounds(centers, system.layout.cell_radius_m());
 
-        // The DOMAIN_PROTOCOL entity space is split between terminals (upper
-        // half, mirrored indices) and cells (counting down from u32::MAX);
-        // the sub-ranges stay disjoint while population + cells < 2^31 (see
-        // the stream-derivation table in ARCHITECTURE.md).
-        debug_assert!(
-            system.cells as u64 * per_cell as u64 + system.cells as u64 <= 0x8000_0000,
-            "terminal population + cell count must stay below 2^31 to keep \
-             DOMAIN_PROTOCOL speed streams and cell streams disjoint"
-        );
         let mut terminals = TerminalColumns::with_path_loss(
-            clock,
+            config.clock(),
             config.channel_mode,
             (system.cells * per_cell) as usize,
             system.path_loss,
@@ -434,27 +425,7 @@ impl SystemWorld {
             let mut members = Vec::with_capacity(per_cell as usize);
             for local in 0..per_cell {
                 let idx = c * per_cell + local;
-                let class = if local < config.num_voice {
-                    TerminalClass::Voice
-                } else {
-                    TerminalClass::Data
-                };
-                let mut terminal = Terminal::new(
-                    TerminalId(idx),
-                    class,
-                    clock,
-                    config.voice_source,
-                    config.data_source,
-                    config.channel,
-                    config.channel_mode,
-                    &config.speed,
-                    &streams,
-                );
-                if let Some(ramp) = &config.ramp {
-                    if class == TerminalClass::Voice && local >= ramp.initial_voice {
-                        terminal.set_active_from_frame(ramp.activation_frame);
-                    }
-                }
+                let terminal = Terminal::from_config(&config, TerminalId(idx), local, &streams);
                 let mut rng = streams.stream(StreamId::new(StreamId::DOMAIN_MOBILITY, idx));
                 // Start uniformly inside the serving cell's disc.
                 let radius = system.layout.cell_radius_m() * rng.next_f64().sqrt();

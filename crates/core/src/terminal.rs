@@ -18,6 +18,7 @@
 //! the columnar store so the frame sweep runs over contiguous arrays instead
 //! of 300-byte structs.
 
+use crate::config::SimConfig;
 use charisma_des::{FrameClock, RngStreams, StreamId, Xoshiro256StarStar};
 use charisma_radio::{ChannelConfig, ChannelMode, CombinedChannel, Mobility, SpeedProfile};
 use charisma_traffic::{
@@ -92,8 +93,8 @@ impl Terminal {
         // same half (`StreamId::cell_entity`).  The two sub-ranges collide
         // only when a terminal index reaches `0x7FFF_FFFF - cell`, so the
         // scheme is sound for populations below 2^31 terminals; see the
-        // stream-derivation table in ARCHITECTURE.md.  Population-level
-        // guards live in the scenario/system constructors; this one pins the
+        // stream-derivation table in ARCHITECTURE.md.  The population-level
+        // bound is a rule of `SimConfig::validate`; this one pins the
         // per-terminal half.
         debug_assert!(
             idx < 0x8000_0000,
@@ -145,6 +146,41 @@ impl Terminal {
             in_talkspurt,
             active_from_frame: 0,
         }
+    }
+
+    /// Builds terminal `id` of `config`'s population.  `local` is its index
+    /// within its cell's population (voice terminals first; equal to the id
+    /// in a single cell): it sets the class and, under a load ramp, keeps
+    /// the tail of the voice population dormant until the ramp's activation
+    /// frame (see [`crate::config::LoadRamp`]).
+    pub(crate) fn from_config(
+        config: &SimConfig,
+        id: TerminalId,
+        local: u32,
+        streams: &RngStreams,
+    ) -> Self {
+        let class = if local < config.num_voice {
+            TerminalClass::Voice
+        } else {
+            TerminalClass::Data
+        };
+        let mut terminal = Terminal::new(
+            id,
+            class,
+            config.clock(),
+            config.voice_source,
+            config.data_source,
+            config.channel,
+            config.channel_mode,
+            &config.speed,
+            streams,
+        );
+        if let Some(ramp) = &config.ramp {
+            if class == TerminalClass::Voice && local >= ramp.initial_voice {
+                terminal.set_active_from_frame(ramp.activation_frame);
+            }
+        }
+        terminal
     }
 
     /// Defers the terminal's participation to `frame` (load-ramp scenarios):

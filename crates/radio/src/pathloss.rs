@@ -81,28 +81,33 @@ impl PathLossConfig {
         Sampler::normal(rng, 0.0, self.site_shadowing_sigma_db)
     }
 
-    /// Validates the parameters, panicking with a descriptive message.
-    pub fn validate(&self) {
-        assert!(
-            self.exponent.is_finite() && self.exponent >= 0.0,
-            "path-loss exponent must be finite and non-negative, got {}",
-            self.exponent
-        );
-        assert!(
-            self.reference_distance_m.is_finite() && self.reference_distance_m > 0.0,
-            "path-loss reference distance must be positive, got {}",
-            self.reference_distance_m
-        );
-        assert!(
-            self.snr_at_reference_db.is_finite(),
-            "path-loss reference SNR must be finite, got {}",
-            self.snr_at_reference_db
-        );
-        assert!(
-            self.site_shadowing_sigma_db.is_finite() && self.site_shadowing_sigma_db >= 0.0,
-            "site shadowing sigma must be finite and non-negative, got {}",
-            self.site_shadowing_sigma_db
-        );
+    /// Validates the parameters, returning the first rule they break.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.exponent.is_finite() && self.exponent >= 0.0) {
+            return Err(format!(
+                "path-loss exponent must be finite and non-negative, got {}",
+                self.exponent
+            ));
+        }
+        if !(self.reference_distance_m.is_finite() && self.reference_distance_m > 0.0) {
+            return Err(format!(
+                "path-loss reference distance must be positive, got {}",
+                self.reference_distance_m
+            ));
+        }
+        if !self.snr_at_reference_db.is_finite() {
+            return Err(format!(
+                "path-loss reference SNR must be finite, got {}",
+                self.snr_at_reference_db
+            ));
+        }
+        if !(self.site_shadowing_sigma_db.is_finite() && self.site_shadowing_sigma_db >= 0.0) {
+            return Err(format!(
+                "site shadowing sigma must be finite and non-negative, got {}",
+                self.site_shadowing_sigma_db
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -150,7 +155,7 @@ mod tests {
     #[test]
     fn flat_profile_is_distance_independent() {
         let pl = PathLossConfig::flat(18.0);
-        pl.validate();
+        pl.validate().unwrap();
         for d in [0.0, 1.0, 100.0, 10_000.0] {
             assert_eq!(pl.mean_snr_db(d), 18.0);
         }
@@ -196,6 +201,7 @@ mod tests {
             reference_distance_m: 0.0,
             ..PathLossConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 }
