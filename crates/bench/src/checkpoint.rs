@@ -442,9 +442,8 @@ pub fn run_entry_durable(
         if opts.resume { ", resuming" } else { "" }
     );
     let campaign = build(profile);
-    let budget = profile.budget();
     let expanded = campaign
-        .expand(budget)
+        .expand(profile.budget())
         .map_err(|e| DurableError::Failure(e.to_string()))?;
     let total = expanded.len();
     let keys: Vec<String> = expanded.iter().map(point_key).collect();
@@ -510,9 +509,9 @@ pub fn run_entry_durable(
     };
 
     let started = Instant::now();
-    let rows = campaign
-        .run_replicated_observed(
-            budget,
+    let run = campaign
+        .run_observed(
+            expanded,
             profile.replications(),
             threads,
             precomputed,
@@ -522,21 +521,12 @@ pub fn run_entry_durable(
     if let Some(e) = write_error.into_inner().expect("error slot poisoned") {
         return Err(DurableError::Failure(format!("{name}: {e}")));
     }
-    let completed_now = rows.iter().filter(|r| r.is_some()).count();
-    if completed_now < total {
+    let Some(run) = run else {
         return Err(DurableError::Aborted {
             entry: name.to_string(),
-            completed: completed_now,
+            completed: replayed + newly_completed.load(Ordering::SeqCst),
             total,
         });
-    }
-
-    let run = charisma::CampaignRun {
-        campaign: campaign.name.clone(),
-        rows: rows
-            .into_iter()
-            .map(|r| r.expect("all points completed"))
-            .collect(),
     };
     let artifacts = render(&run);
     let mut outputs = Vec::new();

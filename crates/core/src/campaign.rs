@@ -1,6 +1,6 @@
 //! Campaigns: named collections of [`ScenarioSpec`]s that expand into one
 //! flat list of sweep points and execute on the deterministic parallel sweep
-//! workers ([`run_sweep_replicated`]).
+//! engine ([`run_sweep_replicated_observed`]).
 //!
 //! A campaign is the unit the benchmark registry runs: `fig11` is a campaign
 //! of one spec (all six protocols x three data populations x two queue
@@ -13,12 +13,15 @@
 //! point runs several independent replications on seed streams derived from
 //! the point seed, and the CSV metric columns become means with 95 %
 //! Student-t confidence half-widths.
+//!
+//! [`Campaign::run`] expands a campaign and runs it to completion;
+//! [`Campaign::run_observed`] is the same runner on already-expanded points
+//! with a resume seam and a completion observer, which durable
+//! (checkpointed) runs use.  Both assemble their rows in one place.
 
 use crate::json::Json;
 use crate::spec::{CampaignPoint, FrameBudget, ScenarioSpec, SpecError};
-use crate::sweep::{
-    run_sweep_replicated, run_sweep_replicated_observed, ReplicatedResult, ReplicationPolicy,
-};
+use crate::sweep::{run_sweep_replicated_observed, ReplicatedResult, ReplicationPolicy};
 use crate::RunReport;
 use charisma_metrics::{capacity_at_threshold, RepsAccumulator};
 use serde::{Deserialize, Serialize};
@@ -82,92 +85,59 @@ impl Campaign {
         Ok(points)
     }
 
-    /// Runs the campaign with one replication per point on up to `threads`
-    /// sweep workers (0: one per core) — the historical single-replication
-    /// behaviour, still used by fast tests.
-    pub fn run(&self, budget: FrameBudget, threads: usize) -> Result<CampaignRun, SpecError> {
-        self.run_replicated(budget, ReplicationPolicy::SINGLE, threads)
-    }
-
     /// Runs the campaign with `default_reps` replications per point (specs
     /// may override it via their `replications` field) on up to `threads`
     /// sweep workers (0: one per core).  Rows come back in expansion order,
     /// and — because every point's replications run sequentially inside the
     /// worker that owns the point — the rendered CSV bytes are identical
     /// across repeats and across thread counts.
-    pub fn run_replicated(
+    pub fn run(
         &self,
         budget: FrameBudget,
         default_reps: ReplicationPolicy,
         threads: usize,
     ) -> Result<CampaignRun, SpecError> {
-        default_reps.validate().map_err(SpecError)?;
-        let expanded = self.expand(budget)?;
-        let mut metas = Vec::with_capacity(expanded.len());
-        let mut points = Vec::with_capacity(expanded.len());
-        for p in expanded {
-            metas.push((p.scenario, p.speed_kmh));
-            points.push((p.point, p.reps.unwrap_or(default_reps)));
-        }
-        let results = run_sweep_replicated(points, threads);
-        let rows = metas
-            .into_iter()
-            .zip(results)
-            .map(|((scenario, speed_kmh), r)| CampaignRow {
-                scenario,
-                protocol: r.protocol,
-                request_queue: r.report.request_queue,
-                num_voice: r.report.num_voice,
-                num_data: r.report.num_data,
-                speed_kmh,
-                load: r.load,
-                report: r.report,
-                stats: r.stats,
-            })
-            .collect();
-        Ok(CampaignRun {
-            campaign: self.name.clone(),
-            rows,
-        })
+        let points = self.expand(budget)?;
+        let blank = vec![None; points.len()];
+        let run = self.run_observed(points, default_reps, threads, blank, &|_, _| true)?;
+        Ok(run.expect("no observer aborts the run"))
     }
 
-    /// [`Campaign::run_replicated`] with a resume seam and a completion
+    /// [`Campaign::run`] on already-expanded `points` (this campaign's
+    /// [`Campaign::expand`] output), with a resume seam and a completion
     /// observer — the engine behind durable (checkpointed) campaign runs.
     ///
-    /// `precomputed` must hold one slot per expanded point (in expansion
-    /// order); `Some` slots are spliced in verbatim instead of being
-    /// re-simulated, and `observer` sees every newly computed point (see
-    /// [`run_sweep_replicated_observed`]).  Rows come back in expansion
-    /// order; a `None` row is a point that never ran because the observer
-    /// requested an abort.  When every slot is `None` and the observer always
-    /// returns `true`, the assembled rows are exactly those of
-    /// [`Campaign::run_replicated`].
-    pub fn run_replicated_observed(
+    /// `precomputed` must hold one slot per point, in expansion order; `Some`
+    /// slots are spliced in verbatim instead of being re-simulated, and
+    /// `observer` sees every newly computed point (see
+    /// [`run_sweep_replicated_observed`]).  Returns `None` when the observer
+    /// requested an abort before every point ran; otherwise the rows are
+    /// exactly those of an uninterrupted [`Campaign::run`].
+    pub fn run_observed(
         &self,
-        budget: FrameBudget,
+        points: Vec<CampaignPoint>,
         default_reps: ReplicationPolicy,
         threads: usize,
         precomputed: Vec<Option<ReplicatedResult>>,
         observer: &(dyn Fn(usize, &ReplicatedResult) -> bool + Sync),
-    ) -> Result<Vec<Option<CampaignRow>>, SpecError> {
+    ) -> Result<Option<CampaignRun>, SpecError> {
         default_reps.validate().map_err(SpecError)?;
-        let expanded = self.expand(budget)?;
-        if expanded.len() != precomputed.len() {
+        if points.len() != precomputed.len() {
             return Err(SpecError(format!(
-                "campaign \"{}\" expands to {} points but {} precomputed slots were supplied",
+                "campaign \"{}\" has {} points but {} precomputed slots were supplied",
                 self.name,
-                expanded.len(),
+                points.len(),
                 precomputed.len()
             )));
         }
-        let mut metas = Vec::with_capacity(expanded.len());
-        let mut points = Vec::with_capacity(expanded.len());
-        for p in expanded {
+        let mut metas = Vec::with_capacity(points.len());
+        let mut sweep = Vec::with_capacity(points.len());
+        for p in points {
             metas.push((p.scenario, p.speed_kmh));
-            points.push((p.point, p.reps.unwrap_or(default_reps)));
+            sweep.push((p.point, p.reps.unwrap_or(default_reps)));
         }
-        let results = run_sweep_replicated_observed(points, threads, precomputed, observer);
-        Ok(metas
+        let results = run_sweep_replicated_observed(sweep, threads, precomputed, observer);
+        let rows = metas
             .into_iter()
             .zip(results)
             .map(|((scenario, speed_kmh), r)| {
@@ -183,7 +153,11 @@ impl Campaign {
                     stats: r.stats,
                 })
             })
-            .collect())
+            .collect::<Option<Vec<_>>>();
+        Ok(rows.map(|rows| CampaignRun {
+            campaign: self.name.clone(),
+            rows,
+        }))
     }
 
     /// The distinct master seeds the campaign's points will use (for the run
@@ -403,7 +377,9 @@ mod tests {
     fn run_produces_rows_in_expansion_order() {
         let campaign = tiny_campaign();
         let expanded = campaign.expand(tiny_budget()).unwrap();
-        let run = campaign.run(tiny_budget(), 2).unwrap();
+        let run = campaign
+            .run(tiny_budget(), ReplicationPolicy::SINGLE, 2)
+            .unwrap();
         assert_eq!(run.rows.len(), expanded.len());
         for (row, point) in run.rows.iter().zip(&expanded) {
             assert_eq!(row.scenario, point.scenario);
@@ -417,8 +393,14 @@ mod tests {
     #[test]
     fn csv_bytes_are_identical_across_thread_counts() {
         let campaign = tiny_campaign();
-        let serial = campaign.run(tiny_budget(), 1).unwrap().to_csv();
-        let parallel = campaign.run(tiny_budget(), 4).unwrap().to_csv();
+        let serial = campaign
+            .run(tiny_budget(), ReplicationPolicy::SINGLE, 1)
+            .unwrap()
+            .to_csv();
+        let parallel = campaign
+            .run(tiny_budget(), ReplicationPolicy::SINGLE, 4)
+            .unwrap()
+            .to_csv();
         assert_eq!(serial, parallel);
         assert!(serial.starts_with(CampaignRun::CSV_HEADER));
     }
@@ -427,8 +409,8 @@ mod tests {
     fn replicated_run_accumulates_and_stays_deterministic() {
         let campaign = tiny_campaign();
         let policy = ReplicationPolicy::fixed(3);
-        let a = campaign.run_replicated(tiny_budget(), policy, 1).unwrap();
-        let b = campaign.run_replicated(tiny_budget(), policy, 3).unwrap();
+        let a = campaign.run(tiny_budget(), policy, 1).unwrap();
+        let b = campaign.run(tiny_budget(), policy, 3).unwrap();
         assert_eq!(a, b, "replicated campaign must not depend on threads");
         assert!(a.rows.iter().all(|r| r.reps() == 3));
         // CSV carries the reps column and both CI columns.
@@ -445,32 +427,40 @@ mod tests {
         }
         // A single-replication run is the degenerate case: same report,
         // zero-width intervals.
-        let single = campaign.run(tiny_budget(), 1).unwrap();
+        let single = campaign
+            .run(tiny_budget(), ReplicationPolicy::SINGLE, 1)
+            .unwrap();
         for (r3, r1) in a.rows.iter().zip(&single.rows) {
-            assert_eq!(r3.report, r1.report, "replication 0 is the legacy run");
+            assert_eq!(r3.report, r1.report, "replication 0 is the 1-rep run");
             assert_eq!(r1.reps(), 1);
             assert_eq!(r1.stats.voice_loss().ci95_half_width(), 0.0);
         }
         // An invalid default policy is rejected up front.
         assert!(campaign
-            .run_replicated(tiny_budget(), ReplicationPolicy::fixed(0), 1)
+            .run(tiny_budget(), ReplicationPolicy::fixed(0), 1)
             .is_err());
     }
 
     #[test]
-    fn observed_run_with_blank_slots_matches_run_replicated() {
+    fn observed_run_with_blank_slots_matches_run() {
         let campaign = tiny_campaign();
         let policy = ReplicationPolicy::fixed(2);
-        let full = campaign.run_replicated(tiny_budget(), policy, 1).unwrap();
-        let blank = (0..full.rows.len()).map(|_| None).collect();
-        let rows = campaign
-            .run_replicated_observed(tiny_budget(), policy, 2, blank, &|_, _| true)
+        let full = campaign.run(tiny_budget(), policy, 1).unwrap();
+        let points = campaign.expand(tiny_budget()).unwrap();
+        let blank = vec![None; points.len()];
+        let observed = campaign
+            .run_observed(points.clone(), policy, 2, blank, &|_, _| true)
             .unwrap();
-        let rows: Vec<CampaignRow> = rows.into_iter().map(Option::unwrap).collect();
-        assert_eq!(rows, full.rows);
-        // The slot count is validated against the expansion.
+        assert_eq!(observed, Some(full));
+        // An abort before every point ran yields no run.
+        let blank = vec![None; points.len()];
+        let aborted = campaign
+            .run_observed(points.clone(), policy, 1, blank, &|_, _| false)
+            .unwrap();
+        assert_eq!(aborted, None);
+        // The slot count is validated against the points.
         assert!(campaign
-            .run_replicated_observed(tiny_budget(), policy, 1, Vec::new(), &|_, _| true)
+            .run_observed(points, policy, 1, Vec::new(), &|_, _| true)
             .is_err());
     }
 
@@ -507,7 +497,9 @@ mod tests {
     #[test]
     fn curves_filter_and_sort_by_load() {
         let campaign = tiny_campaign();
-        let run = campaign.run(tiny_budget(), 0).unwrap();
+        let run = campaign
+            .run(tiny_budget(), ReplicationPolicy::SINGLE, 0)
+            .unwrap();
         let curve = run.curve(
             "tiny",
             ProtocolKind::Charisma,

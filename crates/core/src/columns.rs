@@ -956,9 +956,22 @@ mod tests {
 
     #[test]
     fn push_preserves_identity_and_streams() {
-        let mut t = terminal(0, TerminalClass::Voice, 3, ChannelMode::Lazy);
+        let channel = ChannelConfig {
+            mean_snr_db: 21.5,
+            ..ChannelConfig::default()
+        };
+        let mut t = Terminal::new(
+            TerminalId(0),
+            TerminalClass::Voice,
+            FrameClock::paper_default(),
+            VoiceSourceConfig::default(),
+            DataSourceConfig::default(),
+            channel,
+            ChannelMode::Lazy,
+            &SpeedProfile::Fixed(50.0),
+            &RngStreams::new(3),
+        );
         t.set_active_from_frame(17);
-        t.set_mean_snr_db(21.5);
         let talk = t.in_talkspurt();
         let mut cols = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
         cols.push(t);

@@ -76,10 +76,7 @@ pub use spec::{
     Axis, CampaignPoint, DurationSpec, FrameBudget, QueueToggle, RampSpec, RepsSpec, ScenarioSpec,
     SpecError,
 };
-pub use sweep::{
-    data_load_sweep, run_sweep, run_sweep_replicated, run_sweep_replicated_observed,
-    voice_load_sweep, ReplicatedResult, ReplicationPolicy, SweepPoint, SweepResult,
-};
+pub use sweep::{run_sweep_replicated_observed, ReplicatedResult, ReplicationPolicy, SweepPoint};
 pub use system::{cell_centers, flat_path_loss, hex_cells_for_rings, layout_bounds, SystemWorld};
 pub use terminal::{FrameTraffic, Terminal};
 pub use world::{DataTx, FrameScratch, FrameWorld, LinkAdaptation, VoiceTx};

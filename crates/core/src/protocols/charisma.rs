@@ -197,10 +197,6 @@ impl Charisma {
 }
 
 impl UplinkMac for Charisma {
-    fn name(&self) -> &'static str {
-        "CHARISMA"
-    }
-
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::Charisma
     }
@@ -415,9 +411,9 @@ mod tests {
     fn identity() {
         let cfg = SimConfig::quick_test();
         let c = Charisma::new(&cfg);
-        assert_eq!(c.name(), "CHARISMA");
+        assert_eq!(c.kind().label(), "CHARISMA");
         assert_eq!(c.kind(), ProtocolKind::Charisma);
-        assert!(c.supports_request_queue());
+        assert!(c.kind().supports_request_queue());
         assert_eq!(c.active_reservations(), 0);
         assert_eq!(c.backlog_len(), 0);
     }

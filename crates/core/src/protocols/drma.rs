@@ -58,10 +58,6 @@ impl Drma {
 }
 
 impl UplinkMac for Drma {
-    fn name(&self) -> &'static str {
-        "DRMA"
-    }
-
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::Drma
     }
@@ -172,9 +168,9 @@ mod tests {
     fn identity() {
         let cfg = SimConfig::quick_test();
         let d = Drma::new(&cfg);
-        assert_eq!(d.name(), "DRMA");
+        assert_eq!(d.kind().label(), "DRMA");
         assert_eq!(d.kind(), ProtocolKind::Drma);
-        assert!(d.supports_request_queue());
+        assert!(d.kind().supports_request_queue());
         assert_eq!(d.active_reservations(), 0);
     }
 }

@@ -142,14 +142,6 @@ impl DTdma {
 }
 
 impl UplinkMac for DTdma {
-    fn name(&self) -> &'static str {
-        if self.adaptive {
-            "D-TDMA/VR"
-        } else {
-            "D-TDMA/FR"
-        }
-    }
-
     fn kind(&self) -> ProtocolKind {
         if self.adaptive {
             ProtocolKind::DTdmaVr
@@ -241,11 +233,11 @@ mod tests {
         let cfg = SimConfig::quick_test();
         let fr = DTdma::fixed_rate(&cfg);
         let vr = DTdma::variable_rate(&cfg);
-        assert_eq!(fr.name(), "D-TDMA/FR");
+        assert_eq!(fr.kind().label(), "D-TDMA/FR");
         assert_eq!(fr.kind(), ProtocolKind::DTdmaFr);
-        assert_eq!(vr.name(), "D-TDMA/VR");
+        assert_eq!(vr.kind().label(), "D-TDMA/VR");
         assert_eq!(vr.kind(), ProtocolKind::DTdmaVr);
-        assert!(fr.supports_request_queue());
+        assert!(fr.kind().supports_request_queue());
     }
 
     #[test]

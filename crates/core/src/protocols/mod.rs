@@ -37,17 +37,9 @@ use serde::{Deserialize, Serialize};
 /// plain data (no `Rc`, no thread affinity), which every implementation here
 /// satisfies by construction.
 pub trait UplinkMac: Send {
-    /// Human-readable protocol name as used in the paper's figures.
-    fn name(&self) -> &'static str;
-
-    /// Which protocol this is.
+    /// Which protocol this is (its label and request-queue support are
+    /// [`ProtocolKind`] facts).
     fn kind(&self) -> ProtocolKind;
-
-    /// Whether the protocol can make use of a base-station request queue
-    /// (every protocol except RMAV, per Section 4.5 of the paper).
-    fn supports_request_queue(&self) -> bool {
-        true
-    }
 
     /// Executes one uplink frame: request gathering, slot allocation and
     /// packet transmission.
@@ -102,13 +94,15 @@ impl ProtocolKind {
         }
     }
 
-    /// Whether the protocol supports the request-queue variant.
+    /// Whether the protocol can make use of a base-station request queue
+    /// (every protocol except RMAV, per Section 4.5 of the paper).
     pub fn supports_request_queue(&self) -> bool {
         !matches!(self, ProtocolKind::Rmav)
     }
 
     /// Parses the display label back into a protocol (the inverse of
-    /// [`ProtocolKind::label`]; used by the scenario-spec JSON codec).
+    /// [`ProtocolKind::label`]; used by the checkpoint record codec in
+    /// [`crate::persist`]).
     pub fn from_label(label: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|p| p.label() == label)
     }
@@ -157,8 +151,6 @@ mod tests {
         for p in ProtocolKind::ALL {
             let built = p.build(&cfg);
             assert_eq!(built.kind(), p);
-            assert_eq!(built.name(), p.label());
-            assert_eq!(built.supports_request_queue(), p.supports_request_queue());
         }
     }
 }

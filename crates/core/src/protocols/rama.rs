@@ -105,10 +105,6 @@ impl Rama {
 }
 
 impl UplinkMac for Rama {
-    fn name(&self) -> &'static str {
-        "RAMA"
-    }
-
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::Rama
     }
@@ -215,9 +211,9 @@ mod tests {
     fn identity() {
         let cfg = SimConfig::quick_test();
         let r = Rama::new(&cfg);
-        assert_eq!(r.name(), "RAMA");
+        assert_eq!(r.kind().label(), "RAMA");
         assert_eq!(r.kind(), ProtocolKind::Rama);
-        assert!(r.supports_request_queue());
+        assert!(r.kind().supports_request_queue());
         assert_eq!(r.active_reservations(), 0);
     }
 }

@@ -91,16 +91,8 @@ impl Rmav {
 }
 
 impl UplinkMac for Rmav {
-    fn name(&self) -> &'static str {
-        "RMAV"
-    }
-
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::Rmav
-    }
-
-    fn supports_request_queue(&self) -> bool {
-        false
     }
 
     fn forget_terminal(&mut self, id: TerminalId) {
@@ -199,9 +191,9 @@ mod tests {
     fn identity_and_no_queue_support() {
         let cfg = SimConfig::quick_test();
         let r = Rmav::new(&cfg);
-        assert_eq!(r.name(), "RMAV");
+        assert_eq!(r.kind().label(), "RMAV");
         assert_eq!(r.kind(), ProtocolKind::Rmav);
-        assert!(!r.supports_request_queue());
+        assert!(!r.kind().supports_request_queue());
         assert_eq!(r.outstanding_grants(), 0);
     }
 

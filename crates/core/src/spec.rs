@@ -920,6 +920,24 @@ mod tests {
     }
 
     #[test]
+    fn data_axis_holds_the_voice_count_and_follows_the_data_grid() {
+        let mut spec = ScenarioSpec::new("data");
+        spec.protocols = vec![ProtocolKind::Drma];
+        spec.axis = Axis::DataUsers;
+        spec.voice_users = vec![7];
+        spec.data_users = vec![1, 2, 3];
+        let points = spec.expand(budget()).unwrap();
+        assert!(points.iter().all(|p| p.point.config.num_voice == 7));
+        assert_eq!(
+            points.iter().map(|p| p.point.load).collect::<Vec<_>>(),
+            vec![1.0, 2.0, 3.0]
+        );
+        assert!(points
+            .iter()
+            .all(|p| p.point.load == p.point.config.num_data as f64));
+    }
+
+    #[test]
     fn speed_axis_overrides_the_profile() {
         let mut spec = ScenarioSpec::new("speeds");
         spec.protocols = vec![ProtocolKind::Charisma];

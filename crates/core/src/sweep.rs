@@ -3,10 +3,12 @@
 //! Every point of a sweep (a protocol × load × queue-variant combination) is
 //! an independent simulation with its own deterministic random streams, so
 //! the sweep is embarrassingly parallel: the result vector is pre-split into
-//! one exclusive `&mut` cell per point, the cells are dealt round-robin to a
-//! scoped worker pool (one worker per available core), and every worker
-//! writes straight into its own cells — no shared lock, no contention, and
-//! results land in the original point order by construction.
+//! one exclusive `&mut` cell per point, the cells are dealt round-robin to
+//! the workers (the calling thread plus scoped threads, one worker per
+//! available core by default), and every worker writes straight into its
+//! own cells — no shared lock, no contention, and results land in the
+//! original point order by construction.  [`run_sweep_replicated_observed`]
+//! is the one entry point.
 //!
 //! A point may run more than one **replication**: independent repeats of the
 //! same configuration on per-replication seed streams derived from the point
@@ -41,7 +43,7 @@ pub struct ReplicationPolicy {
 }
 
 impl ReplicationPolicy {
-    /// One replication per point — the historical behaviour of `run_sweep`.
+    /// One replication per point.
     pub const SINGLE: ReplicationPolicy = ReplicationPolicy {
         min_reps: 1,
         max_reps: 1,
@@ -122,17 +124,6 @@ pub struct SweepPoint {
     pub config: SimConfig,
 }
 
-/// The result of one sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepResult {
-    /// The independent variable of the point.
-    pub load: f64,
-    /// The protocol that was simulated.
-    pub protocol: ProtocolKind,
-    /// The run report.
-    pub report: RunReport,
-}
-
 /// The result of one sweep point executed under a [`ReplicationPolicy`]:
 /// replication 0's full report plus the across-replication accumulator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -142,7 +133,7 @@ pub struct ReplicatedResult {
     /// The protocol that was simulated.
     pub protocol: ProtocolKind,
     /// Replication 0's full report (its seed is the point seed itself, so a
-    /// single-replication sweep reproduces the historical sample path).
+    /// single-replication sweep reproduces a plain `Scenario::run`).
     pub report: RunReport,
     /// Mean/CI statistics of the headline metrics across all replications.
     pub stats: RepsAccumulator,
@@ -182,28 +173,27 @@ fn run_point(point: &SweepPoint, policy: ReplicationPolicy) -> ReplicatedResult 
     }
 }
 
-/// Runs all sweep points, using up to `threads` worker threads (0 ⇒ one per
-/// available core).  Results are returned in the same order as `points`.
-pub fn run_sweep(points: Vec<SweepPoint>, threads: usize) -> Vec<SweepResult> {
-    let points = points
-        .into_iter()
-        .map(|p| (p, ReplicationPolicy::SINGLE))
-        .collect();
-    run_sweep_replicated(points, threads)
-        .into_iter()
-        .map(|r| SweepResult {
-            load: r.load,
-            protocol: r.protocol,
-            report: r.report,
-        })
-        .collect()
-}
-
-/// Runs all sweep points with their replication policies, using up to
-/// `threads` worker threads (0 ⇒ one per available core).  Results are
-/// returned in the same order as `points`, and — because all replications of
-/// a point run inside the worker that owns the point — are byte-identical
-/// across thread counts.
+/// Runs all sweep points with their replication policies on up to `threads`
+/// workers (0 ⇒ one per available core), with a resume seam and a
+/// completion observer.  This is the one sweep engine: campaigns, durable
+/// (checkpointed) runs and the host-time benchmark all execute through it.
+///
+/// * `precomputed` must be one slot per point.  A `Some` slot is a point
+///   already completed by an earlier (interrupted) run: it is returned
+///   verbatim, never re-simulated and never observed.  Because every point's
+///   result is a pure function of (point, policy), splicing checkpointed
+///   results in this way reproduces an uninterrupted sweep bit for bit.
+/// * `observer` is called once per *newly computed* point with the point's
+///   index in `points` and its result, from whichever worker finished it —
+///   the calling thread is worker 0 (callers needing order must use the
+///   index).  Returning `false` requests a cooperative abort: no worker
+///   starts another point, though points already in flight on other workers
+///   still complete and are observed.  Aborted (never-started) points come
+///   back as `None`.
+///
+/// Results are returned in the same order as `points`, and — because all
+/// replications of a point run sequentially inside the worker that owns the
+/// point — are byte-identical across thread counts.
 ///
 /// This is *inter*-point parallelism.  Multi-cell points can additionally
 /// parallelise *within* a point via [`SystemConfig::threads`]
@@ -212,35 +202,6 @@ pub fn run_sweep(points: Vec<SweepPoint>, threads: usize) -> Vec<SweepResult> {
 /// [`crate::system`]; both levels compose and neither changes output bytes.
 ///
 /// [`SystemConfig::threads`]: crate::config::SystemConfig::threads
-pub fn run_sweep_replicated(
-    points: Vec<(SweepPoint, ReplicationPolicy)>,
-    threads: usize,
-) -> Vec<ReplicatedResult> {
-    let blank: Vec<Option<ReplicatedResult>> = (0..points.len()).map(|_| None).collect();
-    run_sweep_replicated_observed(points, threads, blank, &|_, _| true)
-        .into_iter()
-        .map(|r| r.expect("every sweep point must produce a result"))
-        .collect()
-}
-
-/// [`run_sweep_replicated`] with a resume seam and a completion observer —
-/// the execution engine behind durable (checkpointed) campaigns.
-///
-/// * `precomputed` must be one slot per point.  A `Some` slot is a point
-///   already completed by an earlier (interrupted) run: it is returned
-///   verbatim, never re-simulated and never observed.  Because every point's
-///   result is a pure function of (point, policy), splicing checkpointed
-///   results in this way reproduces an uninterrupted sweep bit for bit.
-/// * `observer` is called once per *newly computed* point with the point's
-///   index in `points` and its result, from whichever worker thread finished
-///   it (callers needing order must use the index).  Returning `false`
-///   requests a cooperative abort: no worker starts another point, though
-///   points already in flight on other workers still complete and are
-///   observed.  Aborted (never-started) points come back as `None`.
-///
-/// Replications of a point still run sequentially inside one worker, so the
-/// computed results — and therefore the observer's view of them — are
-/// byte-identical across thread counts.
 pub fn run_sweep_replicated_observed(
     points: Vec<(SweepPoint, ReplicationPolicy)>,
     threads: usize,
@@ -254,9 +215,6 @@ pub fn run_sweep_replicated_observed(
         precomputed.len(),
         "one precomputed slot per sweep point"
     );
-    if points.is_empty() {
-        return Vec::new();
-    }
     let pending = precomputed.iter().filter(|r| r.is_none()).count();
     let worker_count = if threads == 0 {
         std::thread::available_parallelism()
@@ -266,26 +224,6 @@ pub fn run_sweep_replicated_observed(
         threads
     }
     .min(pending.max(1));
-
-    let mut results = precomputed;
-    let abort = AtomicBool::new(false);
-
-    if worker_count <= 1 {
-        for (idx, ((point, policy), slot)) in points.iter().zip(results.iter_mut()).enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            if abort.load(Ordering::Relaxed) {
-                break;
-            }
-            let result = run_point(point, *policy);
-            if !observer(idx, &result) {
-                abort.store(true, Ordering::Relaxed);
-            }
-            *slot = Some(result);
-        }
-        return results;
-    }
 
     // Pre-split the result vector: each pending point gets its own exclusive
     // slot, so workers write results without ever touching a shared lock.
@@ -297,6 +235,7 @@ pub fn run_sweep_replicated_observed(
         &'a (SweepPoint, ReplicationPolicy),
         &'a mut Option<ReplicatedResult>,
     );
+    let mut results = precomputed;
     let mut buckets: Vec<Vec<Cell<'_>>> = (0..worker_count).map(|_| Vec::new()).collect();
     let mut dealt = 0usize;
     for (idx, (point, slot)) in points.iter().zip(results.iter_mut()).enumerate() {
@@ -307,142 +246,118 @@ pub fn run_sweep_replicated_observed(
         dealt += 1;
     }
 
-    let abort = &abort;
-    std::thread::scope(|scope| {
-        for bucket in buckets {
-            scope.spawn(move || {
-                for (idx, (point, policy), slot) in bucket {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let result = run_point(point, *policy);
-                    if !observer(idx, &result) {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    *slot = Some(result);
-                }
-            });
+    let abort = AtomicBool::new(false);
+    let run_bucket = |bucket: Vec<Cell<'_>>| {
+        for (idx, (point, policy), slot) in bucket {
+            if abort.load(Ordering::Relaxed) {
+                break;
+            }
+            let result = run_point(point, *policy);
+            if !observer(idx, &result) {
+                abort.store(true, Ordering::Relaxed);
+            }
+            *slot = Some(result);
         }
+    };
+    // The caller is worker 0 and `worker_count − 1` scoped threads run the
+    // other buckets, so a one-worker sweep spawns nothing.
+    let run_bucket = &run_bucket;
+    std::thread::scope(|scope| {
+        let mut buckets = buckets.into_iter();
+        let own = buckets.next().expect("at least one worker");
+        for bucket in buckets {
+            scope.spawn(move || run_bucket(bucket));
+        }
+        run_bucket(own);
     });
 
     results
-}
-
-/// Builds the sweep points for one protocol over a range of voice-user
-/// counts (the independent variable of the paper's Fig. 11), holding the
-/// number of data users fixed.
-pub fn voice_load_sweep(
-    base: &SimConfig,
-    protocol: ProtocolKind,
-    voice_counts: &[u32],
-    num_data: u32,
-    request_queue: bool,
-) -> Vec<SweepPoint> {
-    voice_counts
-        .iter()
-        .map(|&nv| {
-            let mut config = base.clone();
-            config.num_voice = nv;
-            config.num_data = num_data;
-            config.request_queue = request_queue && protocol.supports_request_queue();
-            SweepPoint {
-                load: nv as f64,
-                protocol,
-                config,
-            }
-        })
-        .collect()
-}
-
-/// Builds the sweep points for one protocol over a range of data-user counts
-/// (the independent variable of the paper's Figs. 12 and 13), holding the
-/// number of voice users fixed.
-pub fn data_load_sweep(
-    base: &SimConfig,
-    protocol: ProtocolKind,
-    data_counts: &[u32],
-    num_voice: u32,
-    request_queue: bool,
-) -> Vec<SweepPoint> {
-    data_counts
-        .iter()
-        .map(|&nd| {
-            let mut config = base.clone();
-            config.num_voice = num_voice;
-            config.num_data = nd;
-            config.request_queue = request_queue && protocol.supports_request_queue();
-            SweepPoint {
-                load: nd as f64,
-                protocol,
-                config,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_config() -> SimConfig {
-        let mut cfg = SimConfig::quick_test();
-        cfg.warmup_frames = 200;
-        cfg.measured_frames = 1_200;
-        cfg
+    /// One point per voice count on a short run, holding the data
+    /// population fixed.
+    fn voice_points(
+        protocol: ProtocolKind,
+        voice_counts: &[u32],
+        num_data: u32,
+    ) -> Vec<SweepPoint> {
+        voice_counts
+            .iter()
+            .map(|&nv| {
+                let mut config = SimConfig::quick_test();
+                config.warmup_frames = 200;
+                config.measured_frames = 1_200;
+                config.num_voice = nv;
+                config.num_data = num_data;
+                SweepPoint {
+                    load: nv as f64,
+                    protocol,
+                    config,
+                }
+            })
+            .collect()
+    }
+
+    fn with_policy(
+        points: &[SweepPoint],
+        policy: ReplicationPolicy,
+    ) -> Vec<(SweepPoint, ReplicationPolicy)> {
+        points.iter().map(|p| (p.clone(), policy)).collect()
+    }
+
+    /// Runs every point to completion.
+    fn run_all(
+        points: &[SweepPoint],
+        policy: ReplicationPolicy,
+        threads: usize,
+    ) -> Vec<ReplicatedResult> {
+        let blank = vec![None; points.len()];
+        run_sweep_replicated_observed(with_policy(points, policy), threads, blank, &|_, _| true)
+            .into_iter()
+            .map(|r| r.expect("no observer aborts the sweep"))
+            .collect()
     }
 
     #[test]
     fn sweep_preserves_point_order_and_loads() {
-        let base = tiny_config();
-        let points = voice_load_sweep(&base, ProtocolKind::DTdmaFr, &[5, 10, 15], 0, false);
-        let results = run_sweep(points, 3);
+        let points = voice_points(ProtocolKind::DTdmaFr, &[5, 10, 15], 0);
+        let results = run_all(&points, ReplicationPolicy::SINGLE, 3);
         let loads: Vec<f64> = results.iter().map(|r| r.load).collect();
         assert_eq!(loads, vec![5.0, 10.0, 15.0]);
         for r in &results {
             assert_eq!(r.protocol, ProtocolKind::DTdmaFr);
+            assert_eq!(r.report.num_voice as f64, r.load);
             assert_eq!(r.report.num_data, 0);
         }
     }
 
     #[test]
     fn parallel_and_serial_sweeps_agree() {
-        let base = tiny_config();
-        let points = voice_load_sweep(&base, ProtocolKind::Charisma, &[4, 8], 1, true);
-        let serial = run_sweep(points.clone(), 1);
-        let parallel = run_sweep(points, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(
-                s.report, p.report,
-                "parallel execution must not change results"
-            );
-        }
-    }
-
-    #[test]
-    fn rmav_never_gets_a_request_queue() {
-        let base = tiny_config();
-        let points = data_load_sweep(&base, ProtocolKind::Rmav, &[2, 4], 0, true);
-        for p in &points {
-            assert!(!p.config.request_queue, "RMAV has no request-queue variant");
-        }
-    }
-
-    #[test]
-    fn data_sweep_sets_voice_count() {
-        let base = tiny_config();
-        let points = data_load_sweep(&base, ProtocolKind::Drma, &[1, 2, 3], 7, false);
-        assert!(points.iter().all(|p| p.config.num_voice == 7));
+        let mut points = voice_points(ProtocolKind::Charisma, &[4, 8], 1);
+        points[1].config.request_queue = true;
+        let serial = run_all(&points, ReplicationPolicy::SINGLE, 1);
+        let parallel = run_all(&points, ReplicationPolicy::SINGLE, 4);
         assert_eq!(
-            points.iter().map(|p| p.load).collect::<Vec<_>>(),
-            vec![1.0, 2.0, 3.0]
+            serial, parallel,
+            "parallel execution must not change results"
         );
     }
 
     #[test]
     fn empty_sweep_is_fine() {
-        assert!(run_sweep(Vec::new(), 4).is_empty());
-        assert!(run_sweep_replicated(Vec::new(), 4).is_empty());
+        for threads in [0, 1, 4] {
+            let observer = |_: usize, _: &ReplicatedResult| -> bool {
+                panic!("an empty sweep observes nothing")
+            };
+            assert!(
+                run_sweep_replicated_observed(Vec::new(), threads, Vec::new(), &observer)
+                    .is_empty()
+            );
+        }
     }
 
     #[test]
@@ -459,35 +374,25 @@ mod tests {
     }
 
     #[test]
-    fn single_policy_reproduces_the_legacy_sweep() {
-        let base = tiny_config();
-        let points = voice_load_sweep(&base, ProtocolKind::Charisma, &[8], 2, false);
-        let legacy = run_sweep(points.clone(), 1);
-        let replicated = run_sweep_replicated(
-            points
-                .into_iter()
-                .map(|p| (p, ReplicationPolicy::SINGLE))
-                .collect(),
-            1,
-        );
-        assert_eq!(replicated.len(), legacy.len());
-        assert_eq!(replicated[0].report, legacy[0].report);
+    fn single_policy_reproduces_a_plain_scenario_run() {
+        let points = voice_points(ProtocolKind::Charisma, &[8], 2);
+        let plain = Scenario::new(points[0].config.clone()).run(ProtocolKind::Charisma);
+        let replicated = run_all(&points, ReplicationPolicy::SINGLE, 1);
+        assert_eq!(replicated[0].report, plain);
         assert_eq!(replicated[0].stats.reps(), 1);
         // With one replication the mean is replication 0's own metric.
         assert_eq!(
             replicated[0].stats.voice_loss().mean(),
-            legacy[0].report.voice_loss_rate()
+            plain.voice_loss_rate()
         );
         assert_eq!(replicated[0].stats.voice_loss().ci95_half_width(), 0.0);
     }
 
     #[test]
     fn replications_use_distinct_seed_streams_and_average_them() {
-        let base = tiny_config();
-        let points = voice_load_sweep(&base, ProtocolKind::DTdmaFr, &[30], 2, false);
-        let point = points[0].clone();
-        let results = run_sweep_replicated(vec![(point.clone(), ReplicationPolicy::fixed(3))], 1);
-        let r = &results[0];
+        let points = voice_points(ProtocolKind::DTdmaFr, &[30], 2);
+        let point = &points[0];
+        let r = &run_all(&points, ReplicationPolicy::fixed(3), 1)[0];
         assert_eq!(r.stats.reps(), 3);
 
         // The accumulator mean must equal the average of three standalone
@@ -514,37 +419,33 @@ mod tests {
 
     #[test]
     fn replicated_results_are_identical_across_thread_counts() {
-        let base = tiny_config();
-        let points: Vec<(SweepPoint, ReplicationPolicy)> =
-            voice_load_sweep(&base, ProtocolKind::Charisma, &[10, 20, 30], 1, false)
-                .into_iter()
-                .map(|p| (p, ReplicationPolicy::fixed(3)))
-                .collect();
-        let serial = run_sweep_replicated(points.clone(), 1);
-        let parallel = run_sweep_replicated(points, 4);
+        let points = voice_points(ProtocolKind::Charisma, &[10, 20, 30], 1);
+        let serial = run_all(&points, ReplicationPolicy::fixed(3), 1);
+        let parallel = run_all(&points, ReplicationPolicy::fixed(3), 4);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn precomputed_points_are_spliced_not_resimulated() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let base = tiny_config();
-        let points: Vec<(SweepPoint, ReplicationPolicy)> =
-            voice_load_sweep(&base, ProtocolKind::Charisma, &[5, 10, 15], 1, false)
-                .into_iter()
-                .map(|p| (p, ReplicationPolicy::fixed(2)))
-                .collect();
-        let full = run_sweep_replicated(points.clone(), 1);
+        let points = voice_points(ProtocolKind::Charisma, &[5, 10, 15], 1);
+        let policy = ReplicationPolicy::fixed(2);
+        let full = run_all(&points, policy, 1);
 
         // Hand point 1 back as "already done" and watch only 0 and 2 recompute.
         let precomputed = vec![None, Some(full[1].clone()), None];
         let observed = AtomicUsize::new(0);
-        let resumed = run_sweep_replicated_observed(points, 2, precomputed, &|idx, r| {
-            observed.fetch_add(1, Ordering::Relaxed);
-            assert_ne!(idx, 1, "precomputed point must not be observed");
-            assert_eq!(r, &full[idx]);
-            true
-        });
+        let resumed = run_sweep_replicated_observed(
+            with_policy(&points, policy),
+            2,
+            precomputed,
+            &|idx, r| {
+                observed.fetch_add(1, Ordering::Relaxed);
+                assert_ne!(idx, 1, "precomputed point must not be observed");
+                assert_eq!(r, &full[idx]);
+                true
+            },
+        );
         assert_eq!(observed.load(Ordering::Relaxed), 2);
         let resumed: Vec<ReplicatedResult> = resumed.into_iter().map(Option::unwrap).collect();
         assert_eq!(
@@ -555,13 +456,9 @@ mod tests {
 
     #[test]
     fn observer_abort_stops_starting_new_points() {
-        let base = tiny_config();
-        let points: Vec<(SweepPoint, ReplicationPolicy)> =
-            voice_load_sweep(&base, ProtocolKind::DTdmaFr, &[5, 10, 15, 20], 0, false)
-                .into_iter()
-                .map(|p| (p, ReplicationPolicy::SINGLE))
-                .collect();
-        let blank = (0..points.len()).map(|_| None).collect();
+        let points = voice_points(ProtocolKind::DTdmaFr, &[5, 10, 15, 20], 0);
+        let points = with_policy(&points, ReplicationPolicy::SINGLE);
+        let blank = vec![None; points.len()];
         // Single worker: abort after the first completion is exact.
         let partial = run_sweep_replicated_observed(points, 1, blank, &|_, _| false);
         assert!(partial[0].is_some());
@@ -569,13 +466,40 @@ mod tests {
     }
 
     #[test]
-    fn stopping_rule_runs_to_the_cap_when_the_target_is_unreachable() {
-        let base = tiny_config();
-        let points = voice_load_sweep(&base, ProtocolKind::DTdmaFr, &[30], 2, false);
-        let tight = run_sweep_replicated(
-            vec![(points[0].clone(), ReplicationPolicy::adaptive(2, 5, 1e-12))],
+    fn the_calling_thread_is_worker_zero() {
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+        let points = voice_points(ProtocolKind::DTdmaFr, &[5, 10, 15, 20], 0);
+        let points = with_policy(&points, ReplicationPolicy::SINGLE);
+        let blank = vec![None; points.len()];
+        let seen: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
+        run_sweep_replicated_observed(points, 2, blank, &|idx, _| {
+            let id = std::thread::current().id();
+            seen.lock().unwrap().push((idx, id));
+            true
+        });
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 4);
+        // Round-robin dealing gives worker 0 (the caller) points 0 and 2,
+        // and the one other worker points 1 and 3.
+        let caller = std::thread::current().id();
+        for &(idx, id) in &seen {
+            assert_eq!(id == caller, idx % 2 == 0, "point {idx}");
+        }
+        let mut others: Vec<ThreadId> = seen.iter().map(|&(_, id)| id).collect();
+        others.retain(|&id| id != caller);
+        others.dedup();
+        assert_eq!(
+            others.len(),
             1,
+            "two workers are the caller plus one thread"
         );
+    }
+
+    #[test]
+    fn stopping_rule_runs_to_the_cap_when_the_target_is_unreachable() {
+        let points = voice_points(ProtocolKind::DTdmaFr, &[30], 2);
+        let tight = run_all(&points, ReplicationPolicy::adaptive(2, 5, 1e-12), 1);
         assert_eq!(
             tight[0].stats.reps(),
             5,
@@ -584,10 +508,7 @@ mod tests {
 
         // A sky-high target is satisfied as soon as min_reps gives a
         // variance estimate.
-        let loose = run_sweep_replicated(
-            vec![(points[0].clone(), ReplicationPolicy::adaptive(2, 5, 1e12))],
-            1,
-        );
+        let loose = run_all(&points, ReplicationPolicy::adaptive(2, 5, 1e12), 1);
         assert_eq!(loose[0].stats.reps(), 2);
     }
 }

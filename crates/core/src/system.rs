@@ -478,17 +478,6 @@ impl SystemWorld {
         }
     }
 
-    /// Number of cells.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Number of terminals attached to each cell right now (for inspection
-    /// and the conservation tests).
-    pub fn attached_per_cell(&self) -> Vec<usize> {
-        self.cells.iter().map(Cell::member_count).collect()
-    }
-
     /// Every terminal id currently attached somewhere, sorted (for the
     /// conservation tests).
     pub fn attached_ids_sorted(&self) -> Vec<TerminalId> {

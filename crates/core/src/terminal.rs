@@ -215,15 +215,6 @@ impl Terminal {
     pub fn mobility(&self) -> &Mobility {
         self.channel.mobility()
     }
-
-    /// Re-points the channel's mean SNR (dB), which a single-cell store
-    /// keeps as the terminal's constant mean.  A system population ignores
-    /// it: its store holds each terminal's serving distance and site shadow
-    /// instead and evaluates the path-loss mean from them when the channel
-    /// is sampled.
-    pub fn set_mean_snr_db(&mut self, mean_snr_db: f64) {
-        self.channel.set_mean_snr_db(mean_snr_db);
-    }
 }
 
 #[cfg(test)]

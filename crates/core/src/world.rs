@@ -234,11 +234,6 @@ impl<'a> FrameWorld<'a> {
         }
     }
 
-    /// Number of terminals in the whole scenario (across every cell).
-    pub fn num_terminals(&self) -> usize {
-        self.terminals.len()
-    }
-
     /// The ids of the terminals attached to this base station, in attachment
     /// order.  This is the population a MAC protocol serves: in a multi-cell
     /// run, terminals of other cells are invisible here.
@@ -381,14 +376,6 @@ impl<'a> FrameWorld<'a> {
         if self.measuring {
             self.metrics.slots.assigned += slots;
             self.metrics.slots.wasted += slots;
-        }
-    }
-
-    /// Permission probability applicable to a terminal class.
-    pub fn permission_probability(&self, class: TerminalClass) -> f64 {
-        match class {
-            TerminalClass::Voice => self.config.contention.pv,
-            TerminalClass::Data => self.config.contention.pd,
         }
     }
 

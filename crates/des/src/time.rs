@@ -3,8 +3,8 @@
 //! The paper's TDMA frame is 2.5 ms long and voice packets are generated on a
 //! 20 ms period, so every quantity of interest is an exact multiple of one
 //! microsecond.  Using integer microseconds (instead of `f64` seconds) keeps
-//! frame boundaries exact over arbitrarily long runs and makes ordering in the
-//! event calendar total and reproducible.
+//! frame boundaries exact over arbitrarily long runs and makes every ordering
+//! of instants total and reproducible.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -127,11 +127,6 @@ impl AdaptationThresholds {
         }
         mode
     }
-
-    /// The lower edge of the adaptation range (outage threshold), dB.
-    pub fn outage_threshold_db(&self) -> f64 {
-        self.boundaries[0]
-    }
 }
 
 impl Default for AdaptationThresholds {

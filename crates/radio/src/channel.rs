@@ -97,16 +97,6 @@ impl CombinedChannel {
         &self.mobility
     }
 
-    /// Re-points the channel's mean SNR (dB): the multi-cell system layer
-    /// updates it every frame from the terminal's distance to its serving
-    /// base station (path loss + site shadowing).  The fading processes are
-    /// untouched — they ride on top of whatever mean is current when the SNR
-    /// is sampled.
-    pub fn set_mean_snr_db(&mut self, mean_snr_db: f64) {
-        assert!(mean_snr_db.is_finite(), "mean SNR must be finite");
-        self.config.mean_snr_db = mean_snr_db;
-    }
-
     /// The simulation time the channel state currently refers to.
     pub fn now(&self) -> SimTime {
         self.now
@@ -128,26 +118,6 @@ impl CombinedChannel {
         }
         self.short.step(dt, &mut self.rng);
         self.long.step(dt, &mut self.rng);
-        self.now = t;
-    }
-
-    /// Advances the channel to `t` exactly as the pre-optimisation simulator
-    /// did: one uncached AR(1) step over the elapsed interval, recomputing
-    /// the `exp`/`sqrt` step coefficients on every call.  Used by
-    /// [`ChannelMode::Eager`] runs, which step every channel every frame for
-    /// exact channel pairing across protocols.
-    pub fn advance_to_eager(&mut self, t: SimTime) {
-        assert!(
-            t >= self.now,
-            "channel cannot be advanced backwards (now {}, asked {t})",
-            self.now
-        );
-        let dt = t.duration_since(self.now);
-        if dt.is_zero() {
-            return;
-        }
-        self.short.step_uncached(dt, &mut self.rng);
-        self.long.step_uncached(dt, &mut self.rng);
         self.now = t;
     }
 

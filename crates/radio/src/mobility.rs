@@ -6,7 +6,7 @@
 //! numbers are consistent with a carrier around 2 GHz, which is what we adopt
 //! as the default.
 
-use charisma_des::{Sampler, SimDuration, Xoshiro256StarStar};
+use charisma_des::{SimDuration, Xoshiro256StarStar};
 use serde::{Deserialize, Serialize};
 
 /// Speed of light in metres per second.
@@ -284,11 +284,6 @@ impl Mobility {
         }
     }
 
-    /// Draws a terminal's mobility from a [`SpeedProfile`].
-    pub fn from_profile(profile: &SpeedProfile, rng: &mut Xoshiro256StarStar) -> Self {
-        Mobility::new(profile.sample(rng))
-    }
-
     /// Short-term fading coherence time `T_c ≈ 1 / f_d`, as used by the paper
     /// (eq. (1)).  A stationary terminal is given a very long (but finite)
     /// coherence time instead of infinity so AR coefficients stay defined.
@@ -297,14 +292,6 @@ impl Mobility {
             return SimDuration::from_secs(3600);
         }
         SimDuration::from_secs_f64(1.0 / self.doppler_hz)
-    }
-
-    /// Convenience wrapper used by traffic/radio setup code to derive a speed
-    /// with a dedicated RNG stream, keeping speed draws independent of fading
-    /// draws.
-    pub fn sample_speed(profile: &SpeedProfile, rng: &mut Xoshiro256StarStar) -> f64 {
-        let _ = Sampler::bernoulli(rng, 0.0); // keep the stream "touched" even for Fixed profiles
-        profile.sample(rng)
     }
 }
 

@@ -8,7 +8,8 @@
 //! budget), across repeats and across sweep thread counts.
 
 use charisma::{
-    run_sweep, FrameBudget, ProtocolKind, ReplicationPolicy, Scenario, SimConfig, SweepPoint,
+    run_sweep_replicated_observed, Campaign, FrameBudget, ProtocolKind, ReplicatedResult,
+    ReplicationPolicy, Scenario, SimConfig, SweepPoint,
 };
 use charisma_bench::{registry, BenchProfile};
 
@@ -49,6 +50,27 @@ fn different_seeds_actually_change_the_sample_path() {
     assert_ne!(a, b, "changing the master seed must change the run");
 }
 
+/// The campaign's CSV at one replication per point on `threads` sweep
+/// workers.
+fn campaign_csv(campaign: &Campaign, budget: FrameBudget, threads: usize) -> String {
+    let run = campaign.run(budget, ReplicationPolicy::SINGLE, threads);
+    run.unwrap().to_csv()
+}
+
+/// Runs `points` (one replication each) to completion on `threads` sweep
+/// workers.
+fn run_points(points: &[SweepPoint], threads: usize) -> Vec<ReplicatedResult> {
+    let points: Vec<_> = points
+        .iter()
+        .map(|p| (p.clone(), ReplicationPolicy::SINGLE))
+        .collect();
+    let blank = vec![None; points.len()];
+    run_sweep_replicated_observed(points, threads, blank, &|_, _| true)
+        .into_iter()
+        .map(|r| r.expect("no observer aborts the sweep"))
+        .collect()
+}
+
 #[test]
 fn sweep_results_are_independent_of_thread_count() {
     let points: Vec<SweepPoint> = ProtocolKind::ALL
@@ -61,8 +83,8 @@ fn sweep_results_are_independent_of_thread_count() {
         })
         .collect();
 
-    let serial = run_sweep(points.clone(), 1);
-    let parallel = run_sweep(points, 4);
+    let serial = run_points(&points, 1);
+    let parallel = run_points(&points, 4);
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(parallel.iter()) {
@@ -87,9 +109,9 @@ fn sweep_results_are_independent_of_thread_count() {
 /// variants, the same expansion/render code path), but with trimmed grids,
 /// a three-protocol subset and a ~1/6 frame budget so the 2x2 run matrix
 /// below stays inside unit-test time.  The released binary runs the
-/// untrimmed campaign through exactly the same `Campaign::run` + `to_csv`
-/// calls this test exercises.
-fn mini_fig11() -> charisma::Campaign {
+/// untrimmed campaign through `Campaign::run_observed`, the runner behind
+/// the `Campaign::run` + `to_csv` calls this test exercises.
+fn mini_fig11() -> Campaign {
     let mut campaign =
         registry::build_campaign("fig11", BenchProfile::Quick).expect("fig11 is a sweep campaign");
     for spec in &mut campaign.specs {
@@ -114,8 +136,8 @@ fn mini_budget() -> FrameBudget {
 #[test]
 fn campaign_csv_bytes_are_identical_across_runs() {
     let campaign = mini_fig11();
-    let a = campaign.run(mini_budget(), 1).unwrap().to_csv();
-    let b = campaign.run(mini_budget(), 1).unwrap().to_csv();
+    let a = campaign_csv(&campaign, mini_budget(), 1);
+    let b = campaign_csv(&campaign, mini_budget(), 1);
     assert!(!a.is_empty());
     assert_eq!(a, b, "two identical campaign runs rendered different CSVs");
 }
@@ -123,8 +145,8 @@ fn campaign_csv_bytes_are_identical_across_runs() {
 #[test]
 fn campaign_csv_bytes_are_identical_across_sweep_thread_counts() {
     let campaign = mini_fig11();
-    let serial = campaign.run(mini_budget(), 1).unwrap().to_csv();
-    let parallel = campaign.run(mini_budget(), 4).unwrap().to_csv();
+    let serial = campaign_csv(&campaign, mini_budget(), 1);
+    let parallel = campaign_csv(&campaign, mini_budget(), 4);
     assert_eq!(
         serial, parallel,
         "campaign CSV must not depend on the sweep thread count"
@@ -143,7 +165,7 @@ fn campaign_csv_bytes_are_identical_across_sweep_thread_counts() {
 /// A two-protocol, four-point slice of the fig11 campaign shape, kept tiny
 /// because the replication matrix below runs it 3 x 3 times in a debug
 /// build.
-fn micro_fig11() -> charisma::Campaign {
+fn micro_fig11() -> Campaign {
     let mut campaign = mini_fig11();
     for spec in &mut campaign.specs {
         spec.protocols = vec![ProtocolKind::Charisma, ProtocolKind::DTdmaFr];
@@ -158,7 +180,7 @@ fn micro_fig11() -> charisma::Campaign {
 /// 7-cell hex system with mobility, path loss and handoff, but two
 /// protocols, one grid point and a short budget so the thread matrix stays
 /// inside unit-test time.
-fn mini_multicell() -> charisma::Campaign {
+fn mini_multicell() -> Campaign {
     let mut campaign = registry::build_campaign("multicell_baseline", BenchProfile::Quick)
         .expect("multicell_baseline is a sweep campaign");
     for spec in &mut campaign.specs {
@@ -176,9 +198,15 @@ fn multicell_campaign_csv_bytes_are_identical_across_runs_and_threads() {
     // so its campaign CSV — and every handoff counter behind it — is
     // byte-identical across repeats and across sweep worker counts.
     let campaign = mini_multicell();
-    let serial = campaign.run(mini_budget(), 1).unwrap();
-    let again = campaign.run(mini_budget(), 1).unwrap();
-    let parallel = campaign.run(mini_budget(), 4).unwrap();
+    let serial = campaign
+        .run(mini_budget(), ReplicationPolicy::SINGLE, 1)
+        .unwrap();
+    let again = campaign
+        .run(mini_budget(), ReplicationPolicy::SINGLE, 1)
+        .unwrap();
+    let parallel = campaign
+        .run(mini_budget(), ReplicationPolicy::SINGLE, 4)
+        .unwrap();
     assert_eq!(
         serial.to_csv(),
         again.to_csv(),
@@ -209,7 +237,7 @@ fn multicell_campaign_csv_bytes_are_identical_across_runs_and_threads() {
 }
 
 /// Sets the intra-point worker-thread count on every spec of a campaign.
-fn with_system_threads(mut campaign: charisma::Campaign, threads: u32) -> charisma::Campaign {
+fn with_system_threads(mut campaign: Campaign, threads: u32) -> Campaign {
     for spec in &mut campaign.specs {
         spec.system_threads = threads;
     }
@@ -219,7 +247,7 @@ fn with_system_threads(mut campaign: charisma::Campaign, threads: u32) -> charis
 /// The registry's `handoff_stress` campaign, miniaturised: the 3-cell
 /// corridor under admission pressure (both the drop-on-full and the queue
 /// scenarios), with a short budget for the thread matrix below.
-fn mini_handoff_stress() -> charisma::Campaign {
+fn mini_handoff_stress() -> Campaign {
     let mut campaign = registry::build_campaign("handoff_stress", BenchProfile::Quick)
         .expect("handoff_stress is a sweep campaign");
     for spec in &mut campaign.specs {
@@ -235,7 +263,7 @@ fn mini_handoff_stress() -> charisma::Campaign {
 /// hexagonal city stepped by the sharded frame loop, with tiny per-cell
 /// populations and a short budget so the debug-build thread matrix stays
 /// inside unit-test time.
-fn mini_city() -> charisma::Campaign {
+fn mini_city() -> Campaign {
     let mut campaign = registry::build_campaign("city_scale", BenchProfile::Quick)
         .expect("city_scale is a sweep campaign");
     for spec in &mut campaign.specs {
@@ -254,15 +282,13 @@ fn sharded_multicell_campaign_is_byte_identical_at_any_thread_count() {
     // Thread count 0 runs every cell on the calling thread; 2 and 4 deal
     // the cells across threads in contiguous blocks (4 does not divide 7,
     // so the deal is uneven too).
-    let reference = with_system_threads(mini_multicell(), 0)
-        .run(mini_budget(), 1)
-        .unwrap()
-        .to_csv();
+    let reference = campaign_csv(&with_system_threads(mini_multicell(), 0), mini_budget(), 1);
     for threads in [1u32, 2, 4] {
-        let sharded = with_system_threads(mini_multicell(), threads)
-            .run(mini_budget(), 1)
-            .unwrap()
-            .to_csv();
+        let sharded = campaign_csv(
+            &with_system_threads(mini_multicell(), threads),
+            mini_budget(),
+            1,
+        );
         assert_eq!(
             reference, sharded,
             "multicell_baseline CSV diverged at system_threads={threads}"
@@ -275,15 +301,17 @@ fn sharded_handoff_stress_campaign_is_byte_identical_at_any_thread_count() {
     // Same property under admission pressure: refused and queued handoffs
     // travel through the per-frame mailboxes, so the serial merge order —
     // not the worker schedule — decides who gets the last admission slot.
-    let reference = with_system_threads(mini_handoff_stress(), 0)
-        .run(mini_budget(), 1)
-        .unwrap()
-        .to_csv();
+    let reference = campaign_csv(
+        &with_system_threads(mini_handoff_stress(), 0),
+        mini_budget(),
+        1,
+    );
     for threads in [2u32, 4] {
-        let sharded = with_system_threads(mini_handoff_stress(), threads)
-            .run(mini_budget(), 1)
-            .unwrap()
-            .to_csv();
+        let sharded = campaign_csv(
+            &with_system_threads(mini_handoff_stress(), threads),
+            mini_budget(),
+            1,
+        );
         assert_eq!(
             reference, sharded,
             "handoff_stress CSV diverged at system_threads={threads}"
@@ -299,15 +327,9 @@ fn sharded_city_scale_campaign_is_byte_identical_at_any_thread_count() {
         warmup: 60,
         measured: 240,
     };
-    let reference = with_system_threads(mini_city(), 0)
-        .run(budget, 1)
-        .unwrap()
-        .to_csv();
+    let reference = campaign_csv(&with_system_threads(mini_city(), 0), budget, 1);
     for threads in [2u32, 4] {
-        let sharded = with_system_threads(mini_city(), threads)
-            .run(budget, 1)
-            .unwrap()
-            .to_csv();
+        let sharded = campaign_csv(&with_system_threads(mini_city(), threads), budget, 1);
         assert_eq!(
             reference, sharded,
             "city_scale CSV diverged at system_threads={threads}"
@@ -385,17 +407,18 @@ fn golden_check(name: &str, bytes: &str) {
 
 #[test]
 fn golden_bytes_fig11_miniature() {
-    let csv = mini_fig11().run(mini_budget(), 1).unwrap().to_csv();
+    let csv = campaign_csv(&mini_fig11(), mini_budget(), 1);
     golden_check("fig11_quick.csv", &csv);
 }
 
 #[test]
 fn golden_bytes_multicell_miniature_at_1_and_4_threads() {
     for threads in [1u32, 4] {
-        let csv = with_system_threads(mini_multicell(), threads)
-            .run(mini_budget(), 1)
-            .unwrap()
-            .to_csv();
+        let csv = campaign_csv(
+            &with_system_threads(mini_multicell(), threads),
+            mini_budget(),
+            1,
+        );
         golden_check("multicell_baseline_quick.csv", &csv);
     }
 }
@@ -407,10 +430,7 @@ fn golden_bytes_city_scale_miniature_at_1_and_4_threads() {
         measured: 240,
     };
     for threads in [1u32, 4] {
-        let csv = with_system_threads(mini_city(), threads)
-            .run(budget, 1)
-            .unwrap()
-            .to_csv();
+        let csv = campaign_csv(&with_system_threads(mini_city(), threads), budget, 1);
         golden_check("city_scale_quick.csv", &csv);
     }
 }
@@ -423,18 +443,9 @@ fn replicated_campaign_csv_bytes_are_identical_across_runs_and_threads() {
     // byte-identical across repeats and across sweep thread counts.
     let campaign = micro_fig11();
     let policy = ReplicationPolicy::fixed(3);
-    let serial = campaign
-        .run_replicated(mini_budget(), policy, 1)
-        .unwrap()
-        .to_csv();
-    let again = campaign
-        .run_replicated(mini_budget(), policy, 1)
-        .unwrap()
-        .to_csv();
-    let parallel = campaign
-        .run_replicated(mini_budget(), policy, 4)
-        .unwrap()
-        .to_csv();
+    let serial = campaign.run(mini_budget(), policy, 1).unwrap().to_csv();
+    let again = campaign.run(mini_budget(), policy, 1).unwrap().to_csv();
+    let parallel = campaign.run(mini_budget(), policy, 4).unwrap().to_csv();
     assert_eq!(serial, again, "replicated campaign CSV differs across runs");
     assert_eq!(
         serial, parallel,
